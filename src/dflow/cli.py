@@ -70,8 +70,7 @@ def _build_parser():
     p.add_argument("--dataset", required=True, help="dataset root or manifest path")
     p.add_argument("--k", type=int, help="history frames before the current one")
     p.add_argument("--channels", type=int, help="feature maps per flow")
-    p.add_argument("--flows", choices=["single", "double"])
-    p.add_argument("--colors", help="e.g. rgb+yuv (double) or yuv (single)")
+    p.add_argument("--colors", help="one colour space per flow, e.g. rgb+yuv or yuv")
     p.add_argument("--loss", choices=["bce", "focal"])
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
@@ -160,18 +159,15 @@ def _echo_config(cfg, out_dir):
     return out_dir
 
 
-def _parse_colors(flows, colors):
+def _parse_colors(colors):
+    """Flow colour spaces from ``colors``: one part per flow, at most two."""
     parts = colors.split("+")
     if any(part not in network.SPACE_CHANNELS for part in parts):
         raise CliError(f"unknown colour space in {colors!r} "
                        f"(choose from {sorted(network.SPACE_CHANNELS)})")
-    if flows == "single":
-        if len(parts) != 1:
-            raise CliError(f"single flow takes one colour space, got {colors!r}")
-        return parts[0], None
-    if len(parts) != 2:
-        raise CliError(f"double flow takes two colour spaces like rgb+yuv, got {colors!r}")
-    return parts[0], parts[1]
+    if len(parts) > 2:
+        raise CliError(f"at most two flows, like rgb+yuv; got {colors!r}")
+    return parts[0], parts[1] if len(parts) == 2 else None
 
 
 def _model_channels(cfg):
@@ -212,7 +208,7 @@ def _train_one(dataset, model_config, train_config, build_seed):
 
 def _cmd_train(args):
     cfg = _resolve(args, {
-        "seed": 0, "k": 4, "channels": 40, "flows": "double", "colors": "rgb+yuv",
+        "seed": 0, "k": 4, "channels": 40, "colors": "rgb+yuv",
         "loss": "bce", "steps": 500, "lr": 1e-3, "preset": None, "use_block": None,
         "dataset": args.dataset, "out": args.out, "checkpoint": None,
     })
@@ -222,7 +218,7 @@ def _cmd_train(args):
         run = training.load_checkpoint(cfg["checkpoint"])
         run = training.resume(run, dataset)
     else:
-        flow_a, flow_b = _parse_colors(cfg["flows"], cfg["colors"])
+        flow_a, flow_b = _parse_colors(cfg["colors"])
         model_config = network.DFlowConfig(
             flow_a_space=flow_a, flow_b_space=flow_b,
             channels=_model_channels(cfg), k=cfg["k"],

@@ -7,8 +7,6 @@ plain numpy and operate on thresholded binary masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
@@ -24,7 +22,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "SegMask",
     "validate_label_mask",
     "bce_loss",
     "focal_loss",
@@ -33,24 +30,6 @@ __all__ = [
 ]
 
 CLAMP_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class SegMask:
-    """Per-pixel probabilities with the threshold that binarises them."""
-
-    probs: np.ndarray
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def binary(self):
-        return (self.probs > self.threshold).astype(np.float64)
 
 
 def validate_label_mask(label):

@@ -1,10 +1,10 @@
 """Dual-flow network assembly: two recurrent flows, additive fusion, conv decoder.
 
 Each flow runs a two-layer recurrent stack (or residual block) over its own
-colour rendering of the same frames; the two final feature maps are added
+colour rendering of the same frames; the flows' final feature maps are summed
 elementwise and a single biased convolution plus sigmoid decodes them into a
-per-pixel target probability for the final frame. Single-flow variants skip
-the fusion and feed the decoder directly.
+per-pixel target probability for the final frame. A single-flow model is the
+same path with one flow.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "DFlowConfig",
     "DFlowModel",
     "build_dflow",
-    "dflow_forward",
-    "single_flow_forward",
     "frames_for_flow",
 ]
 
@@ -92,11 +90,18 @@ class DFlowModel:
         self.decoder_w = decoder_w
         self.decoder_b = decoder_b
 
+    def _flows(self):
+        """(tag, colour space, flow) for each built flow. The tag names the
+        attribute and the checkpoint tensor prefix."""
+        config = self.config
+        for tag, space, flow in (("flow_a", config.flow_a_space, self.flow_a),
+                                 ("flow_b", config.flow_b_space, self.flow_b)):
+            if flow is not None:
+                yield tag, space, flow
+
     def parameters(self):
         out = {}
-        for tag, flow in (("flow_a", self.flow_a), ("flow_b", self.flow_b)):
-            if flow is None:
-                continue
+        for tag, _, flow in self._flows():
             for name, t in flow.parameters().items():
                 out[f"{tag}.{name}"] = t
         out["decoder.w"] = self.decoder_w
@@ -109,37 +114,19 @@ class DFlowModel:
     def _decode(self, features):
         return sigmoid(conv2d_same(features, self.decoder_w, self.decoder_b))
 
-    def forward(self, frames_a, frames_b):
-        """Dual-flow forward; returns the (1, H, W) probability map for the
-        final frame. Both sequences must hold k+1 frames of equal spatial size."""
-        if self.flow_b is None:
-            raise ValueError("dual-flow forward called on a single-flow model")
-        expected = self.config.k + 1
-        if len(frames_a) != expected or len(frames_b) != expected:
-            raise ValueError(
-                f"both flows need {expected} frames, got {len(frames_a)} and {len(frames_b)}")
-        for fa, fb in zip(frames_a, frames_b):
-            if fa.data.shape[1:] != fb.data.shape[1:]:
-                raise ValueError(
-                    f"spatial mismatch between flows: {fa.data.shape[1:]} vs {fb.data.shape[1:]}")
-        fused = add(self.flow_a.forward(frames_a), self.flow_b.forward(frames_b))
-        return self._decode(fused)
-
-    def forward_single(self, frames):
-        """Single-flow forward: decoder applied to the lone flow's features."""
-        if self.flow_b is not None:
-            raise ValueError("single-flow forward called on a dual-flow model")
-        if len(frames) != self.config.k + 1:
-            raise ValueError(f"flow needs {self.config.k + 1} frames, got {len(frames)}")
-        return self._decode(self.flow_a.forward(frames))
-
     def forward_window(self, frames_rgb):
-        """Forward from raw RGB frames, rendering each flow's colour space."""
-        frames_a = frames_for_flow(frames_rgb, self.config.flow_a_space)
-        if self.flow_b is None:
-            return self.forward_single(frames_a)
-        frames_b = frames_for_flow(frames_rgb, self.config.flow_b_space)
-        return self.forward(frames_a, frames_b)
+        """(1, H, W) probability map for the final frame of k+1 RGB frames.
+
+        Each flow runs on its own colour rendering of the frames; the flows'
+        final features are summed and decoded."""
+        expected = self.config.k + 1
+        if len(frames_rgb) != expected:
+            raise ValueError(f"model needs {expected} frames, got {len(frames_rgb)}")
+        fused = None
+        for _, space, flow in self._flows():
+            features = flow.forward(frames_for_flow(frames_rgb, space))
+            fused = features if fused is None else add(fused, features)
+        return self._decode(fused)
 
     def predict(self, frames_rgb):
         """Inference-only probabilities as a plain (1, H, W) array."""
@@ -165,13 +152,3 @@ def build_dflow(config, seed):
     decoder_w = _uniform(rng, (1, config.channels, d, d), config.channels * d * d)
     decoder_b = zeros((1,), requires_grad=True)
     return DFlowModel(config, flow_a, flow_b, decoder_w, decoder_b)
-
-
-def dflow_forward(model, frames_a, frames_b):
-    """Dual-flow forward pass (module-level spelling of model.forward)."""
-    return model.forward(frames_a, frames_b)
-
-
-def single_flow_forward(model, frames):
-    """Single-flow forward pass (module-level spelling of model.forward_single)."""
-    return model.forward_single(frames)

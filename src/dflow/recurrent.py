@@ -8,7 +8,7 @@ for a same-size 2D convolution:
 
 with * the padded cross-correlation and o the elementwise product. The block
 stacks two cells and adds a 3D-conv shortcut from the raw input frames to
-every step's output. Parameter-count formulas for the two-layer ConvLSTM,
+the final step's output. Parameter-count formulas for the two-layer ConvLSTM,
 the block, and the plain two-layer stack are implemented exactly as printed
 (they charge (gamma + kappa) input channels to both layers, which overstates
 layer 2); ``count_actual_params`` reports the true constructed sizes.
@@ -27,7 +27,6 @@ from .tensor import (
     conv3d_same,
     hadamard,
     sigmoid,
-    stack_steps,
     sub_from_one,
     tanh,
     time_slice,
@@ -39,9 +38,6 @@ __all__ = [
     "ConvMguCell",
     "ConvMguStack2",
     "ConvMguBlock",
-    "convmgu_step",
-    "stack2_forward",
-    "block_forward",
     "param_count",
     "count_actual_params",
 ]
@@ -150,11 +146,6 @@ class ConvMguCell:
         return self.step_with_gate(x, h_prev)[0]
 
 
-def convmgu_step(cell, x, h_prev):
-    """Single recurrence step of ``cell`` (module-level spelling of cell.step)."""
-    return cell.step(x, h_prev)
-
-
 class ConvMguStack2:
     """Two stacked cells unrolled over a frame sequence, zero initial state."""
 
@@ -196,28 +187,12 @@ class ConvMguStack2:
         return self.forward_all(frames)[-1]
 
 
-def stack2_forward(layer1, layer2, frames):
-    """Unroll two cells over ``frames`` (layer-2 hidden state at the last step).
-
-    Hidden states start at zero; ``frames`` is an ordered list of (cin, H, W)
-    tensors, oldest first."""
-    if not frames:
-        raise ValueError("empty frame sequence")
-    h, w = frames[0].data.shape[1:]
-    h1 = layer1.initial_state(h, w)
-    h2 = layer2.initial_state(h, w)
-    for x in frames:
-        h1 = layer1.step(x, h1)
-        h2 = layer2.step(h1, h2)
-    return h2
-
-
 class ConvMguBlock:
     """Two stacked cells plus a 3D-conv shortcut from the raw frames.
 
     The shortcut projects the (gamma, T, H, W) stacked input to n channels
-    with one biased f*f*f convolution, padded same in time so each of the
-    T steps receives a residual slice."""
+    with one biased f*f*f convolution, padded same in time; its final time
+    slice is added to the stack's final state."""
 
     def __init__(self, in_channels, hidden_channels, kernel_size, shortcut_kernel_size, rng):
         if shortcut_kernel_size % 2 == 0:
@@ -255,22 +230,14 @@ class ConvMguBlock:
         stacked = Tensor(np.stack([fr.data for fr in frames], axis=1))  # (cin, T, H, W)
         return conv3d_same(stacked, self.shortcut_w, self.shortcut_b)
 
-    def forward_all(self, frames):
+    def forward(self, frames):
+        """Final-step output: stack state plus the last residual slice."""
         if not frames:
             raise ValueError("empty frame sequence")
         if frames[0].data.shape[0] != self.in_channels:
             raise ValueError(
                 f"frames have {frames[0].data.shape[0]} channels, "
                 f"block expects {self.in_channels}")
-        states = self.stack.forward_all(frames)
+        h2 = self.stack.forward(frames)
         residual = self._residual(frames)
-        return [add(h2, time_slice(residual, t)) for t, h2 in enumerate(states)]
-
-    def forward(self, frames):
-        """Final-step output only (stack state plus last residual slice)."""
-        return self.forward_all(frames)[-1]
-
-
-def block_forward(block, frames):
-    """All per-step block outputs stacked into a (T, n, H, W) tensor."""
-    return stack_steps(block.forward_all(frames))
+        return add(h2, time_slice(residual, len(frames) - 1))

@@ -33,7 +33,6 @@ __all__ = [
     "power",
     "sum_all",
     "mean_all",
-    "stack_steps",
     "time_slice",
     "conv2d_same",
     "conv3d_same",
@@ -336,24 +335,6 @@ def mean_all(a):
     return out
 
 
-def stack_steps(tensors):
-    """Stack same-shape tensors along a new leading (time) axis."""
-    if not tensors:
-        raise ValueError("cannot stack an empty sequence")
-    shape = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape != shape:
-            raise ValueError(f"stack_steps: shape mismatch {t.data.shape} vs {shape}")
-    out = Tensor(np.stack([t.data for t in tensors], axis=0))
-    needs = [t._track for t in tensors]
-
-    def vjp(g):
-        return tuple(g[i] if needs[i] else None for i in range(len(needs)))
-
-    _record(out, tuple(tensors), vjp)
-    return out
-
-
 def time_slice(a, t):
     """Take time step ``t`` from a (C, T, H, W) tensor, yielding (C, H, W)."""
     ad = a.data
@@ -410,6 +391,15 @@ def _conv2d_forward(xd, kd):
     return y.reshape(cout, h, w), xp
 
 
+def _flip_kernel(kd):
+    """Input-gradient kernel: spatial axes reversed, in/out channels swapped.
+
+    For a same-padded stride-1 cross-correlation, the gradient w.r.t. the
+    input is the same conv applied to the output gradient with this kernel
+    (Dumoulin & Visin, arXiv:1603.07285)."""
+    return np.flip(kd, axis=tuple(range(2, kd.ndim))).swapaxes(0, 1)
+
+
 def conv2d_same(x, kernel, bias=None):
     """Zero-padded same-size 2D cross-correlation with stride 1.
 
@@ -422,24 +412,17 @@ def conv2d_same(x, kernel, bias=None):
     if bias is not None:
         y = y + bias.data[:, None, None]
     out = Tensor(y)
-    cout, cin, m, _ = kd.shape
+    cout, _, m, _ = kd.shape
     h, w = xd.shape[1:]
-    pad = m // 2
     need_x, need_k = x._track, kernel._track
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def vjp(g):
-        gf = g.reshape(cout, h * w)
         gk = gx = None
         if need_k:
-            gk = (gf @ _im2col2d(xp, m, h, w).T).reshape(kd.shape)
+            gk = (g.reshape(cout, h * w) @ _im2col2d(xp, m, h, w).T).reshape(kd.shape)
         if need_x:
-            dcols = (kd.reshape(cout, -1).T @ gf).reshape(cin, m, m, h, w)
-            gxp = np.zeros_like(xp)
-            for i in range(m):
-                for j in range(m):
-                    gxp[:, i:i + h, j:j + w] += dcols[:, i, j]
-            gx = gxp[:, pad:pad + h, pad:pad + w].copy()
+            gx = _conv2d_forward(g, _flip_kernel(kd))[0]
         if bias is None:
             return (gx, gk)
         return (gx, gk, g.sum(axis=(1, 2)))
@@ -474,6 +457,16 @@ def _im2col3d(xp, f, tt, h, w):
     return cols.reshape(cin * f ** 3, tt * h * w)
 
 
+def _conv3d_forward(xd, kd):
+    cin, tt, h, w = xd.shape
+    cout, _, f, _, _ = kd.shape
+    pad = f // 2
+    xp = np.zeros((cin, tt + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+    xp[:, pad:pad + tt, pad:pad + h, pad:pad + w] = xd
+    y = kd.reshape(cout, -1) @ _im2col3d(xp, f, tt, h, w)
+    return y.reshape(cout, tt, h, w), xp
+
+
 def conv3d_same(x, kernel, bias=None):
     """Zero-padded same-size 3D cross-correlation over (time, height, width).
 
@@ -481,31 +474,21 @@ def conv3d_same(x, kernel, bias=None):
     Output is (cout, T, H, W)."""
     xd, kd = x.data, kernel.data
     _check_conv3d(xd, kd, bias)
-    cin, tt, h, w = xd.shape
-    cout, _, f, _, _ = kd.shape
-    pad = f // 2
-    xp = np.zeros((cin, tt + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-    xp[:, pad:pad + tt, pad:pad + h, pad:pad + w] = xd
-    y = (kd.reshape(cout, -1) @ _im2col3d(xp, f, tt, h, w)).reshape(cout, tt, h, w)
+    y, xp = _conv3d_forward(xd, kd)
     if bias is not None:
         y = y + bias.data[:, None, None, None]
     out = Tensor(y)
+    cout, _, f, _, _ = kd.shape
+    _, tt, h, w = xd.shape
     need_x, need_k = x._track, kernel._track
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def vjp(g):
-        gf = g.reshape(cout, tt * h * w)
         gk = gx = None
         if need_k:
-            gk = (gf @ _im2col3d(xp, f, tt, h, w).T).reshape(kd.shape)
+            gk = (g.reshape(cout, tt * h * w) @ _im2col3d(xp, f, tt, h, w).T).reshape(kd.shape)
         if need_x:
-            dcols = (kd.reshape(cout, -1).T @ gf).reshape(cin, f, f, f, tt, h, w)
-            gxp = np.zeros_like(xp)
-            for t in range(f):
-                for i in range(f):
-                    for j in range(f):
-                        gxp[:, t:t + tt, i:i + h, j:j + w] += dcols[:, t, i, j]
-            gx = gxp[:, pad:pad + tt, pad:pad + h, pad:pad + w].copy()
+            gx = _conv3d_forward(g, _flip_kernel(kd))[0]
         if bias is None:
             return (gx, gk)
         return (gx, gk, g.sum(axis=(1, 2, 3)))

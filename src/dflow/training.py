@@ -252,10 +252,7 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4, h=1e-6):
     total = sum(p.data.size for p in params.values())
     if total > 5000:
         raise ValueError(f"model has {total} parameters; gradcheck is capped at 5000")
-    if callable(loss):
-        loss_fn = loss
-    else:
-        loss_fn = bce_loss if loss == "bce" else focal_loss
+    loss_fn = loss if callable(loss) else _loss_fn(TrainConfig(loss=loss))
 
     def forward_loss():
         return loss_fn(model.forward_window(sample.frames), sample.label).item()

@@ -23,7 +23,7 @@ from dflow.data import (
 )
 from dflow.losses import bce_loss, dice_coefficient, focal_loss, silhouette_score
 from dflow.network import DFlowConfig, PRESET_CHANNELS, build_dflow
-from dflow.recurrent import ConvMguBlock, ConvMguCell, block_forward, stack2_forward
+from dflow.recurrent import ConvMguBlock, ConvMguCell, ConvMguStack2
 from dflow.tensor import Tensor, conv2d_same, conv3d_same, zeros
 from dflow.training import (
     TrainConfig,
@@ -123,22 +123,22 @@ def test_criterion_3_oracle_equivalence():
         assert np.abs(got - expected).max() < 1e-12
 
     for i in range(20):
-        r = np.random.default_rng(200 + i)
-        layer1 = ConvMguCell(3, 2, 3, r)
-        layer2 = ConvMguCell(2, 2, 3, r)
+        stack = ConvMguStack2(3, 2, 3, np.random.default_rng(200 + i))
         frames = [rng.uniform(-1, 1, size=(3, 4, 4)) for _ in range(3)]
-        got = stack2_forward(layer1, layer2, [Tensor(f) for f in frames]).data
-        expected = stack2_naive(cell_weight_arrays(layer1),
-                                cell_weight_arrays(layer2), frames)[-1]
-        assert np.abs(got - expected).max() < 1e-12
+        got = stack.forward_all([Tensor(f) for f in frames])
+        expected = stack2_naive(cell_weight_arrays(stack.layer1),
+                                cell_weight_arrays(stack.layer2), frames)
+        assert len(got) == len(expected)
+        for state, want in zip(got, expected):
+            assert np.abs(state.data - want).max() < 1e-12
 
     for i in range(20):
         block = ConvMguBlock(3, 2, 3, 3, np.random.default_rng(300 + i))
         frames = [rng.uniform(-1, 1, size=(3, 4, 4)) for _ in range(3)]
-        got = block_forward(block, [Tensor(f) for f in frames]).data
+        got = block.forward([Tensor(f) for f in frames]).data
         expected = block_naive(
             cell_weight_arrays(block.layer1), cell_weight_arrays(block.layer2),
-            block.shortcut_w.data, block.shortcut_b.data, frames)
+            block.shortcut_w.data, block.shortcut_b.data, frames)[-1]
         assert np.abs(got - expected).max() < 1e-12
 
 

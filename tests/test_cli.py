@@ -5,6 +5,7 @@ import pytest
 
 from dflow.cli import main
 from dflow.data import read_pgm
+from dflow.training import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,16 @@ class TestTrain:
         rc = main(["train", "--dataset", str(dataset_dir),
                    "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
         assert rc == 1
+
+    def test_colour_parts_choose_the_flow_count(self, dataset_dir, tmp_path):
+        for colors, spaces in (("yuv", ("yuv", None)), ("rgb+hsv", ("rgb", "hsv"))):
+            out = tmp_path / colors
+            rc = main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                       "--k", "2", "--channels", "2", "--steps", "1",
+                       "--colors", colors])
+            assert rc == 0
+            config = load_checkpoint(out / "checkpoint.dflw").model.config
+            assert (config.flow_a_space, config.flow_b_space) == spaces
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
@@ -150,10 +161,16 @@ class TestValidationErrors:
     def test_unknown_subcommand(self):
         assert main(["florp"]) == 1
 
-    def test_bad_flow_colour_combination(self, dataset_dir, tmp_path):
+    def test_bad_flow_colour_combination(self, dataset_dir, tmp_path, capsys):
+        for colors in ("rgb+yuv+hsv", "rgb+xyz"):
+            rc = main(["train", "--dataset", str(dataset_dir),
+                       "--out", str(tmp_path / "x"), "--colors", colors])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error:")
+        # the number of --colors parts is the number of flows; there is no --flows
         rc = main(["train", "--dataset", str(dataset_dir),
                    "--out", str(tmp_path / "x"), "--flows", "single",
-                   "--colors", "rgb+yuv"])
+                   "--colors", "yuv"])
         assert rc == 1
 
 

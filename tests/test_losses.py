@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflow.losses import (
-    SegMask,
     bce_loss,
     dice_coefficient,
     focal_loss,
@@ -27,15 +26,7 @@ def rand_label(rng, shape=(1, 6, 6)):
     return (rng.uniform(size=shape) > 0.5).astype(np.float64)
 
 
-class TestSegMask:
-    def test_binary_follows_threshold_strictly(self):
-        mask = SegMask(np.array([[[0.2, 0.5, 0.8]]]))
-        npt.assert_array_equal(mask.binary, [[[0.0, 0.0, 1.0]]])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SegMask(np.array([[[1.2]]]))
-
+class TestValidateLabelMask:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             validate_label_mask(np.array([0.0, 0.5]))

@@ -9,18 +9,16 @@ from dflow.network import (
     DFlowModel,
     PRESET_CHANNELS,
     build_dflow,
-    dflow_forward,
     frames_for_flow,
-    single_flow_forward,
 )
 from dflow.recurrent import count_actual_params
-from dflow.tensor import GradTape, Tensor, backward
+from dflow.tensor import GradTape, backward
 
 from oracles import cell_weight_arrays, finite_difference, rel_err, stack2_naive
 
 
-def rand_frames(rng, n, side=8, channels=3):
-    return [Tensor(rng.uniform(0, 1, size=(channels, side, side))) for _ in range(n)]
+def rand_frames(rng, n, side=8):
+    return [ColorImage(rng.uniform(0, 1, size=(3, side, side)), "rgb") for _ in range(n)]
 
 
 def tiny_config(**overrides):
@@ -67,7 +65,7 @@ class TestForward:
         model.decoder_w.data[...] = 0.0
         model.decoder_b.data[...] = 0.0
         rng = np.random.default_rng(2)
-        p = model.forward(rand_frames(rng, 3), rand_frames(rng, 3))
+        p = model.forward_window(rand_frames(rng, 3))
         npt.assert_array_equal(p.data, 0.5)
 
     def test_output_shape_and_open_interval(self):
@@ -76,8 +74,7 @@ class TestForward:
             for k in (1, 3):
                 for channels in (2, 5):
                     model = build_dflow(tiny_config(channels=channels, k=k), seed=4)
-                    p = model.forward(rand_frames(rng, k + 1, side),
-                                      rand_frames(rng, k + 1, side))
+                    p = model.forward_window(rand_frames(rng, k + 1, side))
                     assert p.data.shape == (1, side, side)
                     assert np.all(p.data > 0.0) and np.all(p.data < 1.0)
 
@@ -86,46 +83,42 @@ class TestForward:
         model = build_dflow(tiny_config(), seed=7)
         swapped = DFlowModel(config, model.flow_b, model.flow_a,
                              model.decoder_w, model.decoder_b)
-        rng = np.random.default_rng(8)
-        fa, fb = rand_frames(rng, 3), rand_frames(rng, 3)
-        npt.assert_array_equal(model.forward(fa, fb).data,
-                               swapped.forward(fb, fa).data)
+        frames = rand_frames(np.random.default_rng(8), 3)
+        npt.assert_array_equal(model.forward_window(frames).data,
+                               swapped.forward_window(frames).data)
 
     def test_matches_naive_composition(self):
         model = build_dflow(tiny_config(), seed=9)
-        rng = np.random.default_rng(10)
-        fa, fb = rand_frames(rng, 3), rand_frames(rng, 3)
+        frames = rand_frames(np.random.default_rng(10), 3)
         feats_a = stack2_naive(cell_weight_arrays(model.flow_a.layer1),
                                cell_weight_arrays(model.flow_a.layer2),
-                               [f.data for f in fa])[-1]
+                               [f.data for f in frames_for_flow(frames, "rgb")])[-1]
         feats_b = stack2_naive(cell_weight_arrays(model.flow_b.layer1),
                                cell_weight_arrays(model.flow_b.layer2),
-                               [f.data for f in fb])[-1]
+                               [f.data for f in frames_for_flow(frames, "yuv")])[-1]
         from oracles import conv2d_naive, sigmoid_np
         logits = conv2d_naive(feats_a + feats_b, model.decoder_w.data,
                               model.decoder_b.data)
-        npt.assert_allclose(model.forward(fa, fb).data, sigmoid_np(logits), atol=1e-12)
+        npt.assert_allclose(model.forward_window(frames).data, sigmoid_np(logits), atol=1e-12)
 
     def test_forward_is_deterministic(self):
         model = build_dflow(tiny_config(), seed=11)
-        rng = np.random.default_rng(12)
-        fa, fb = rand_frames(rng, 3), rand_frames(rng, 3)
-        npt.assert_array_equal(model.forward(fa, fb).data,
-                               model.forward(fa, fb).data)
+        frames = rand_frames(np.random.default_rng(12), 3)
+        npt.assert_array_equal(model.forward_window(frames).data,
+                               model.forward_window(frames).data)
 
     def test_rejects_bad_sequences(self):
         model = build_dflow(tiny_config(), seed=13)
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError):
-            model.forward(rand_frames(rng, 2), rand_frames(rng, 3))
+            model.forward_window(rand_frames(rng, 2))
         with pytest.raises(ValueError):
-            model.forward(rand_frames(rng, 3, side=8),
-                          rand_frames(rng, 3, side=6))
+            model.forward_window(rand_frames(rng, 2, side=8) + rand_frames(rng, 1, side=6))
 
     def test_use_block_variant_runs(self):
         model = build_dflow(tiny_config(use_block=True), seed=15)
         rng = np.random.default_rng(16)
-        p = model.forward(rand_frames(rng, 3), rand_frames(rng, 3))
+        p = model.forward_window(rand_frames(rng, 3))
         assert p.data.shape == (1, 8, 8)
 
 
@@ -135,7 +128,7 @@ class TestSingleFlow:
         model.decoder_w.data[...] = 0.0
         model.decoder_b.data[...] = 0.0
         rng = np.random.default_rng(18)
-        p = single_flow_forward(model, rand_frames(rng, 3))
+        p = model.forward_window(rand_frames(rng, 3))
         npt.assert_array_equal(p.data, 0.5)
 
     def test_zeroed_second_flow_matches_single_flow(self):
@@ -146,8 +139,8 @@ class TestSingleFlow:
             p.data[...] = 0.0  # zero weights + zero init state -> zero features
         rng = np.random.default_rng(20)
         frames = rand_frames(rng, 3)
-        npt.assert_allclose(dual.forward(frames, frames).data,
-                            single.forward_single(frames).data, atol=1e-15)
+        npt.assert_allclose(dual.forward_window(frames).data,
+                            single.forward_window(frames).data, atol=1e-15)
 
     def test_constant_sequence_gives_constant_map_on_unit_grid(self):
         model = build_dflow(tiny_config(flow_a_space="yuv", flow_b_space=None),
@@ -161,10 +154,10 @@ class TestSingleFlow:
         dual = build_dflow(tiny_config(), seed=22)
         single = build_dflow(tiny_config(flow_b_space=None), seed=22)
         rng = np.random.default_rng(23)
-        with pytest.raises(ValueError):
-            single_flow_forward(dual, rand_frames(rng, 3))
-        with pytest.raises(ValueError):
-            dflow_forward(single, rand_frames(rng, 3), rand_frames(rng, 3))
+        for model in (dual, single):
+            for n in (2, 4):
+                with pytest.raises(ValueError):
+                    model.forward_window(rand_frames(rng, n))
 
 
 class TestFramesForFlow:

@@ -8,17 +8,15 @@ from dflow.recurrent import (
     ConvMguCell,
     ConvMguStack2,
     UnitHyperparams,
-    block_forward,
-    convmgu_step,
     count_actual_params,
     param_count,
-    stack2_forward,
 )
 from dflow.tensor import GradTape, Tensor, backward, mean_all, tanh, zeros
 
 from oracles import (
     block_naive,
     cell_weight_arrays,
+    conv3d_naive,
     convmgu_step_naive,
     finite_difference,
     rel_err,
@@ -108,7 +106,7 @@ class TestConvMguStep:
         rng = np.random.default_rng(2)
         h_prev = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)))
         x = Tensor(rng.uniform(-1, 1, size=(3, 4, 4)))
-        h = convmgu_step(cell, x, h_prev)
+        h = cell.step(x, h_prev)
         assert np.abs(h.data).max() < 1e-8
 
     def test_matches_naive_reference(self):
@@ -169,35 +167,39 @@ class TestConvMguStep:
             assert rel_err(p.grad, fd).max() < 1e-4, name
 
 
+def make_stack(seed, cin=3, n=2):
+    # draws layer 1 then layer 2 from one generator, like two make_cell calls
+    return ConvMguStack2(cin, n, 3, np.random.default_rng(seed))
+
+
 class TestStack2:
     def test_single_zero_frame_zero_weights(self):
-        layer1 = zero_cell(cin=3, n=2)
-        layer2 = zero_cell(cin=2, n=2)
-        out = stack2_forward(layer1, layer2, [zeros((3, 4, 4))])
+        stack = make_stack(0)
+        for t in stack.parameters().values():
+            t.data[...] = 0.0
+        out = stack.forward([zeros((3, 4, 4))])
         npt.assert_array_equal(out.data, 0.0)
 
     def test_zero_frames_reduce_to_center_tap_recurrence(self):
         # on a 1x1 grid with zero frames, convolutions see only their centre
         # taps, so the unroll collapses to a per-channel scalar recurrence
-        rng = np.random.default_rng(7)
-        layer1 = make_cell(rng, cin=3, n=2)
-        layer2 = make_cell(rng, cin=2, n=2)
+        stack = make_stack(7)
         frames = [zeros((3, 1, 1)) for _ in range(4)]
-        out = stack2_forward(layer1, layer2, frames)
+        out = stack.forward(frames)
 
         h1 = np.zeros(2)
         h2 = np.zeros(2)
         for _ in frames:
-            h1 = scalar_step_with_input(layer1, np.zeros(3), h1)
-            h2 = scalar_step_with_input(layer2, h1, h2)
+            h1 = scalar_step_with_input(stack.layer1, np.zeros(3), h1)
+            h2 = scalar_step_with_input(stack.layer2, h1, h2)
         npt.assert_allclose(out.data[:, 0, 0], h2, atol=1e-12)
 
     def test_two_frames_equal_hand_unrolled_steps(self):
         rng = np.random.default_rng(8)
-        layer1 = make_cell(rng, cin=3, n=2)
-        layer2 = make_cell(rng, cin=2, n=2)
+        stack = make_stack(8)
+        layer1, layer2 = stack.layer1, stack.layer2
         frames = [Tensor(rng.uniform(-1, 1, size=(3, 4, 4))) for _ in range(2)]
-        out = stack2_forward(layer1, layer2, frames)
+        out = stack.forward(frames)
         h1 = layer1.step(frames[0], zeros((2, 4, 4)))
         h2 = layer2.step(h1, zeros((2, 4, 4)))
         h1 = layer1.step(frames[1], h1)
@@ -206,18 +208,18 @@ class TestStack2:
 
     def test_matches_naive_unroll(self):
         rng = np.random.default_rng(9)
-        layer1 = make_cell(rng, cin=3, n=2)
-        layer2 = make_cell(rng, cin=2, n=2)
+        stack = make_stack(9)
         frames = [rng.uniform(-1, 1, size=(3, 4, 4)) for _ in range(3)]
-        out = stack2_forward(layer1, layer2, [Tensor(f) for f in frames])
-        expected = stack2_naive(cell_weight_arrays(layer1),
-                                cell_weight_arrays(layer2), frames)[-1]
-        npt.assert_allclose(out.data, expected, atol=1e-12)
+        states = stack.forward_all([Tensor(f) for f in frames])
+        expected = stack2_naive(cell_weight_arrays(stack.layer1),
+                                cell_weight_arrays(stack.layer2), frames)
+        assert len(states) == len(expected) == 3
+        for got, want in zip(states, expected):
+            npt.assert_allclose(got.data, want, atol=1e-12)
 
     def test_rejects_empty_sequence(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            stack2_forward(make_cell(rng), make_cell(rng, cin=2), [])
+            make_stack(0).forward([])
 
 
 def scalar_step_with_input(cell, x, h):
@@ -240,40 +242,39 @@ class TestBlock:
         block.shortcut_b.data[...] = 0.0
         rng = np.random.default_rng(11)
         frames = [Tensor(rng.uniform(-1, 1, size=(3, 4, 4))) for _ in range(3)]
-        out = block_forward(block, frames)
-        states = block.stack.forward_all(frames)
-        for t, h2 in enumerate(states):
-            npt.assert_array_equal(out.data[t], h2.data)
+        out = block.forward(frames)
+        npt.assert_array_equal(out.data, block.stack.forward(frames).data)
 
     def test_zero_stack_leaves_residual_only(self):
         block = self.make_block()
         for name, p in block.stack.parameters().items():
             p.data[...] = 0.0
         rng = np.random.default_rng(12)
-        frames = [Tensor(rng.uniform(-1, 1, size=(3, 4, 4)))]
-        out = block_forward(block, frames)
-        from oracles import conv3d_naive
-        stacked = np.stack([f.data for f in frames], axis=1)
-        residual = conv3d_naive(stacked, block.shortcut_w.data, block.shortcut_b.data)
-        npt.assert_allclose(out.data[0], residual[:, 0], atol=1e-12)
+        for n_frames in (1, 3):
+            frames = [Tensor(rng.uniform(-1, 1, size=(3, 4, 4))) for _ in range(n_frames)]
+            out = block.forward(frames)
+            stacked = np.stack([f.data for f in frames], axis=1)
+            residual = conv3d_naive(stacked, block.shortcut_w.data, block.shortcut_b.data)
+            npt.assert_allclose(out.data, residual[:, -1], atol=1e-12)
 
     def test_matches_naive_composition(self):
         block = self.make_block(seed=13)
         rng = np.random.default_rng(14)
         frames = [rng.uniform(-1, 1, size=(3, 4, 4)) for _ in range(3)]
-        out = block_forward(block, [Tensor(f) for f in frames])
+        out = block.forward([Tensor(f) for f in frames])
         expected = block_naive(
             cell_weight_arrays(block.layer1), cell_weight_arrays(block.layer2),
             block.shortcut_w.data, block.shortcut_b.data, frames)
-        npt.assert_allclose(out.data, expected, atol=1e-12)
-        assert out.data.shape == (3, 2, 4, 4)
+        assert expected.shape == (3, 2, 4, 4)
+        npt.assert_allclose(out.data, expected[-1], atol=1e-12)
+        assert out.data.shape == (2, 4, 4)
 
     def test_rejects_empty_sequence_and_bad_channels(self):
         block = self.make_block()
         with pytest.raises(ValueError):
-            block_forward(block, [])
+            block.forward([])
         with pytest.raises(ValueError):
-            block_forward(block, [zeros((4, 4, 4))])
+            block.forward([zeros((4, 4, 4))])
 
 
 class TestGradcheckSensitivity:

@@ -22,6 +22,8 @@ from dflow.training import (
     write_curve_csv,
 )
 
+from fixtures import v1_checkpoint
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
@@ -174,6 +176,13 @@ class TestGradcheck:
                            loss=lambda p, y: mean_all(p), tolerance=1e-8)
         assert report.passed, str(report)
 
+    def test_unknown_loss_name_is_rejected(self):
+        model = tiny_model(seed=5)
+        sample = self.make_sample(np.random.default_rng(0))
+        for name in ("dice", "BCE", ""):
+            with pytest.raises(ValueError, match="unknown loss"):
+                gradcheck(model, sample, loss=name)
+
     def test_corrupted_gate_backward_fails(self, monkeypatch):
         rng = np.random.default_rng(3)
         model = tiny_model(seed=6)
@@ -249,6 +258,18 @@ class TestCheckpoints:
             npt.assert_array_equal(loaded.adam_m[name], arr)
         assert [(r.step, r.train_loss) for r in loaded.curve] == \
                [(r.step, r.train_loss) for r in run.curve]
+
+    def test_version1_fixture_loads_bit_exactly(self, tmp_path):
+        run = load_checkpoint(v1_checkpoint.CHECKPOINT)
+        assert (run.model.config.flow_a_space, run.model.config.flow_b_space) == ("rgb", "yuv")
+        assert {name.split(".")[0] for name in run.model.parameters()} == \
+               {"flow_a", "flow_b", "decoder"}
+        window = v1_checkpoint.fixture_window()
+        npt.assert_array_equal(run.model.predict(window.frames),
+                               np.load(v1_checkpoint.PREDICTION))
+        path = tmp_path / "again.dflw"
+        save_checkpoint(run, path)
+        assert path.read_bytes() == v1_checkpoint.CHECKPOINT.read_bytes()
 
     def test_corrupted_magic_is_rejected(self, tiny_dataset, tmp_path):
         run = train(tiny_model(seed=13), tiny_dataset, tiny_config(steps=2))
