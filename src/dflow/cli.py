@@ -22,15 +22,7 @@ from .color import ColorImage, extract_y, rgb_to_yuv
 
 __all__ = ["main"]
 
-ABLATION_CONFIGS = [
-    ("rgb", "rgb", None),
-    ("hsv", "hsv", None),
-    ("yuv", "yuv", None),
-    ("rgb+yuv", "rgb", "yuv"),
-    ("rgb+hsv", "rgb", "hsv"),
-    ("hsv+yuv", "hsv", "yuv"),
-    ("rgb+y", "rgb", "y"),
-]
+ABLATION_CONFIGS = ["rgb", "hsv", "yuv", "rgb+yuv", "rgb+hsv", "hsv+yuv", "rgb+y"]
 
 
 class CliError(Exception):
@@ -355,7 +347,8 @@ def _cmd_ablate(args):
     dataset = _load_dataset(cfg["dataset"], cfg["k"])
     train_config = training.TrainConfig(
         loss=cfg["loss"], lr=cfg["lr"], steps=cfg["steps"], seed=cfg["seed"])
-    for name, flow_a, flow_b in ABLATION_CONFIGS:
+    for name in ABLATION_CONFIGS:
+        flow_a, flow_b = _parse_colors(name)
         model_config = network.DFlowConfig(
             flow_a_space=flow_a, flow_b_space=flow_b,
             channels=_model_channels(cfg), k=cfg["k"])

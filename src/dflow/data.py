@@ -115,23 +115,30 @@ def _read_netpbm_header(blob, magic):
     return tokens[0], tokens[1], tokens[2], pos + 1  # single whitespace after maxval
 
 
-def read_ppm(path):
-    """Read a binary PPM into a (3, H, W) float array in [0, 1]."""
+def _read_netpbm(path, magic, channels):
+    """(channels, H, W) floats in [0, 1] from a binary netpbm file; samples
+    are one byte up to maxval 255 and two big-endian bytes above it."""
     blob = Path(path).read_bytes()
-    w, h, maxval, offset = _read_netpbm_header(blob, b"P6")
-    raw = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=offset)
-    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
+    w, h, maxval, offset = _read_netpbm_header(blob, magic)
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: maxval {maxval} is outside 1..65535")
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    count = w * h * channels
+    if len(blob) - offset < count * dtype.itemsize:
+        raise ValueError(f"{path}: payload has {len(blob) - offset} bytes, "
+                         f"{count * dtype.itemsize} expected")
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    return raw.reshape(h, w, channels).transpose(2, 0, 1).astype(np.float64) / maxval
+
+
+def read_ppm(path):
+    """Read a binary PPM (8- or 16-bit) into a (3, H, W) float array in [0, 1]."""
+    return _read_netpbm(path, b"P6", 3)
 
 
 def read_pgm(path):
     """Read a binary PGM (8- or 16-bit) into a (1, H, W) float array in [0, 1]."""
-    blob = Path(path).read_bytes()
-    w, h, maxval, offset = _read_netpbm_header(blob, b"P5")
-    if maxval > 255:
-        raw = np.frombuffer(blob, dtype=">u2", count=w * h, offset=offset)
-    else:
-        raw = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=offset)
-    return raw.reshape(1, h, w).astype(np.float64) / maxval
+    return _read_netpbm(path, b"P5", 1)
 
 
 # --- manifest ----------------------------------------------------------------
@@ -150,9 +157,6 @@ class SourceRecord:
 class DatasetManifest:
     root: Path
     sources: list
-
-    def split_sources(self, split):
-        return [s for s in self.sources if s.split == split]
 
 
 def save_manifest(manifest, path=None):

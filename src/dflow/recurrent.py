@@ -46,17 +46,16 @@ __all__ = [
 @dataclass(frozen=True)
 class UnitHyperparams:
     """Topology knobs: m conv kernel size, gamma input channels, kappa feature
-    maps, n output channels, f 3D-conv kernel size, k history length."""
+    maps, n output channels, f 3D-conv kernel size."""
 
     m: int = 3
     gamma: int = 3
     kappa: int = 40
     n: int = 40
     f: int = 3
-    k: int = 4
 
     def __post_init__(self):
-        for field in ("m", "gamma", "kappa", "n", "f", "k"):
+        for field in ("m", "gamma", "kappa", "n", "f"):
             value = getattr(self, field)
             if not isinstance(value, int) or value <= 0:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
@@ -95,16 +94,13 @@ def _uniform(rng, shape, fan_in):
 class ConvMguCell:
     """One convolutional minimal-gated cell (single forget gate)."""
 
-    def __init__(self, in_channels, hidden_channels, kernel_size, rng,
-                 gate_activation=sigmoid, candidate_activation=tanh):
+    def __init__(self, in_channels, hidden_channels, kernel_size, rng):
         if kernel_size % 2 == 0:
             raise ValueError("kernel size must be odd")
         cin, n, m = in_channels, hidden_channels, kernel_size
         self.in_channels = cin
         self.hidden_channels = n
         self.kernel_size = m
-        self.gate_activation = gate_activation
-        self.candidate_activation = candidate_activation
         self.w_f = _uniform(rng, (n, cin, m, m), cin * m * m)
         self.u_f = _uniform(rng, (n, n, m, m), n * m * m)
         self.b_f = zeros((n,), requires_grad=True)
@@ -134,10 +130,9 @@ class ConvMguCell:
         if h_prev.data.shape[0] != self.hidden_channels:
             raise ValueError(
                 f"h has {h_prev.data.shape[0]} channels, cell expects {self.hidden_channels}")
-        f = self.gate_activation(
-            add(conv2d_same(x, self.w_f, self.b_f), conv2d_same(h_prev, self.u_f)))
+        f = sigmoid(add(conv2d_same(x, self.w_f, self.b_f), conv2d_same(h_prev, self.u_f)))
         gated_prev = hadamard(f, h_prev)
-        candidate = self.candidate_activation(
+        candidate = tanh(
             add(conv2d_same(x, self.w_h, self.b_h), conv2d_same(gated_prev, self.u_h)))
         h = add(hadamard(sub_from_one(f), h_prev), hadamard(f, candidate))
         return h, f

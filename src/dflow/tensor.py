@@ -5,6 +5,9 @@ sequences (T, C, H, W), and a batch would add one leading extent (rank 5
 is the ceiling). Training math runs in float64 so finite-difference checks
 are meaningful; float32 is accepted for inference-only use.
 
+conv2d_same and conv3d_same share one im2col + matmul kernel over 2 or 3
+spatial axes; im2col copies a strided view of the zero-padded input once.
+
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
 per thread). Gradients accumulate additively when a tensor feeds several
@@ -16,6 +19,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -52,9 +56,9 @@ class Tensor:
     preserves its input dtype.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_track")
+    __slots__ = ("data", "requires_grad", "grad", "_track")
 
-    def __init__(self, data, requires_grad=False, name=None, dtype=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
@@ -63,7 +67,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.name = name
         self._track = self.requires_grad
 
     @property
@@ -83,15 +86,14 @@ class Tensor:
 
     def detach(self):
         """Copy of the values with no grad tracking (no tape entry will follow it)."""
-        return Tensor(self.data.copy(), requires_grad=False, name=self.name, dtype=self.data.dtype)
+        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def zeros(shape, requires_grad=False, name=None):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad, name=name)
+def zeros(shape, requires_grad=False):
+    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 # --- tape ------------------------------------------------------------------
@@ -356,14 +358,16 @@ def time_slice(a, t):
 # --- convolution ------------------------------------------------------------
 
 
-def _check_conv2d(xd, kd, bias):
-    if xd.ndim != 3:
-        raise ValueError(f"conv2d_same expects input (cin, H, W), got shape {xd.shape}")
-    if kd.ndim != 4:
-        raise ValueError(f"conv2d_same expects kernel (cout, cin, m, m), got shape {kd.shape}")
-    cout, cin, m, m2 = kd.shape
-    if m != m2:
-        raise ValueError(f"kernel must be square, got {m}x{m2}")
+def _check_conv(xd, kd, bias, nd):
+    op, axes = ("conv2d_same", "H, W") if nd == 2 else ("conv3d_same", "T, H, W")
+    if xd.ndim != nd + 1:
+        raise ValueError(f"{op} expects input (cin, {axes}), got shape {xd.shape}")
+    if kd.ndim != nd + 2:
+        raise ValueError(f"{op} expects kernel (cout, cin{', m' * nd}), got shape {kd.shape}")
+    cout, cin, m = kd.shape[:3]
+    if kd.shape[2:] != (m,) * nd:
+        raise ValueError(f"kernel must be {'square' if nd == 2 else 'cubic'}, "
+                         f"got {'x'.join(map(str, kd.shape[2:]))}")
     if m % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {m}")
     if xd.shape[0] != cin:
@@ -372,23 +376,33 @@ def _check_conv2d(xd, kd, bias):
         raise ValueError(f"bias must have shape ({cout},), got {bias.data.shape}")
 
 
-def _im2col2d(xp, m, h, w):
-    cin = xp.shape[0]
-    cols = np.empty((cin, m, m, h, w), dtype=xp.dtype)
-    for i in range(m):
-        for j in range(m):
-            cols[:, i, j] = xp[:, i:i + h, j:j + w]
-    return cols.reshape(cin * m * m, h * w)
+def _pad(xd, m):
+    """Zero-pad every spatial axis of a (cin, ...) array by m // 2 on each side."""
+    p = m // 2
+    xp = np.zeros([xd.shape[0]] + [n + 2 * p for n in xd.shape[1:]], dtype=xd.dtype)
+    xp[(slice(None),) + (slice(p, -p or None),) * (xd.ndim - 1)] = xd
+    return xp
 
 
-def _conv2d_forward(xd, kd):
-    cin, h, w = xd.shape
-    cout, _, m, _ = kd.shape
-    pad = m // 2
-    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = xd
-    y = kd.reshape(cout, -1) @ _im2col2d(xp, m, h, w)
-    return y.reshape(cout, h, w), xp
+def _im2col(xp, m):
+    """(cin * m**nd, positions) patch matrix of a padded (cin, ...) array.
+
+    Rows run over (channel, kernel offsets), columns over output positions,
+    both in C order. The patches are a read-only strided view of ``xp``;
+    the reshape makes the one copy."""
+    cin, nd = xp.shape[0], xp.ndim - 1
+    out = tuple([n - m + 1 for n in xp.shape[1:]])
+    view = as_strided(xp, (cin,) + (m,) * nd + out, xp.strides + xp.strides[1:],
+                      writeable=False)
+    return view.reshape(cin * m ** nd, -1)
+
+
+def _conv_forward(xd, kd):
+    """Unbiased same-padded conv; returns the output and the padded input."""
+    cout, m = kd.shape[0], kd.shape[-1]
+    xp = _pad(xd, m)
+    y = kd.reshape(cout, -1) @ _im2col(xp, m)
+    return y.reshape(cout, *xd.shape[1:]), xp
 
 
 def _flip_kernel(kd):
@@ -400,71 +414,38 @@ def _flip_kernel(kd):
     return np.flip(kd, axis=tuple(range(2, kd.ndim))).swapaxes(0, 1)
 
 
-def conv2d_same(x, kernel, bias=None):
-    """Zero-padded same-size 2D cross-correlation with stride 1.
-
-    ``x`` is (cin, H, W), ``kernel`` (cout, cin, m, m) with m odd, ``bias``
-    an optional (cout,) tensor added per output channel. Output is
-    (cout, H, W)."""
+def _conv_same(x, kernel, bias, nd):
     xd, kd = x.data, kernel.data
-    _check_conv2d(xd, kd, bias)
-    y, xp = _conv2d_forward(xd, kd)
+    _check_conv(xd, kd, bias, nd)
+    y, xp = _conv_forward(xd, kd)
     if bias is not None:
-        y = y + bias.data[:, None, None]
+        y = y + bias.data.reshape(-1, *(1,) * nd)
     out = Tensor(y)
-    cout, _, m, _ = kd.shape
-    h, w = xd.shape[1:]
+    cout, m = kd.shape[0], kd.shape[-1]
     need_x, need_k = x._track, kernel._track
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def vjp(g):
         gk = gx = None
         if need_k:
-            gk = (g.reshape(cout, h * w) @ _im2col2d(xp, m, h, w).T).reshape(kd.shape)
+            gk = (g.reshape(cout, -1) @ _im2col(xp, m).T).reshape(kd.shape)
         if need_x:
-            gx = _conv2d_forward(g, _flip_kernel(kd))[0]
+            gx = _conv_forward(g, _flip_kernel(kd))[0]
         if bias is None:
             return (gx, gk)
-        return (gx, gk, g.sum(axis=(1, 2)))
+        return (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))
 
     _record(out, inputs, vjp)
     return out
 
 
-def _check_conv3d(xd, kd, bias):
-    if xd.ndim != 4:
-        raise ValueError(f"conv3d_same expects input (cin, T, H, W), got shape {xd.shape}")
-    if kd.ndim != 5:
-        raise ValueError(f"conv3d_same expects kernel (cout, cin, f, f, f), got shape {kd.shape}")
-    cout, cin, f, f2, f3 = kd.shape
-    if not (f == f2 == f3):
-        raise ValueError(f"kernel must be cubic, got {f}x{f2}x{f3}")
-    if f % 2 == 0:
-        raise ValueError(f"kernel size must be odd, got {f}")
-    if xd.shape[0] != cin:
-        raise ValueError(f"input has {xd.shape[0]} channels but kernel expects {cin}")
-    if bias is not None and bias.data.shape != (cout,):
-        raise ValueError(f"bias must have shape ({cout},), got {bias.data.shape}")
+def conv2d_same(x, kernel, bias=None):
+    """Zero-padded same-size 2D cross-correlation with stride 1.
 
-
-def _im2col3d(xp, f, tt, h, w):
-    cin = xp.shape[0]
-    cols = np.empty((cin, f, f, f, tt, h, w), dtype=xp.dtype)
-    for t in range(f):
-        for i in range(f):
-            for j in range(f):
-                cols[:, t, i, j] = xp[:, t:t + tt, i:i + h, j:j + w]
-    return cols.reshape(cin * f ** 3, tt * h * w)
-
-
-def _conv3d_forward(xd, kd):
-    cin, tt, h, w = xd.shape
-    cout, _, f, _, _ = kd.shape
-    pad = f // 2
-    xp = np.zeros((cin, tt + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-    xp[:, pad:pad + tt, pad:pad + h, pad:pad + w] = xd
-    y = kd.reshape(cout, -1) @ _im2col3d(xp, f, tt, h, w)
-    return y.reshape(cout, tt, h, w), xp
+    ``x`` is (cin, H, W), ``kernel`` (cout, cin, m, m) with m odd, ``bias``
+    an optional (cout,) tensor added per output channel. Output is
+    (cout, H, W)."""
+    return _conv_same(x, kernel, bias, 2)
 
 
 def conv3d_same(x, kernel, bias=None):
@@ -472,26 +453,4 @@ def conv3d_same(x, kernel, bias=None):
 
     ``x`` is (cin, T, H, W), ``kernel`` (cout, cin, f, f, f) with f odd.
     Output is (cout, T, H, W)."""
-    xd, kd = x.data, kernel.data
-    _check_conv3d(xd, kd, bias)
-    y, xp = _conv3d_forward(xd, kd)
-    if bias is not None:
-        y = y + bias.data[:, None, None, None]
-    out = Tensor(y)
-    cout, _, f, _, _ = kd.shape
-    _, tt, h, w = xd.shape
-    need_x, need_k = x._track, kernel._track
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-
-    def vjp(g):
-        gk = gx = None
-        if need_k:
-            gk = (g.reshape(cout, tt * h * w) @ _im2col3d(xp, f, tt, h, w).T).reshape(kd.shape)
-        if need_x:
-            gx = _conv3d_forward(g, _flip_kernel(kd))[0]
-        if bias is None:
-            return (gx, gk)
-        return (gx, gk, g.sum(axis=(1, 2, 3)))
-
-    _record(out, inputs, vjp)
-    return out
+    return _conv_same(x, kernel, bias, 3)

@@ -339,22 +339,33 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}")
     data_start = 16 + hlen
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    for key in ("model_config", "train_config", "step", "curve", "tensors"):
+        if key not in header:
+            raise CheckpointError(f"checkpoint header lacks key {key!r}")
 
-    model = build_dflow(DFlowConfig.from_dict(header["model_config"]), seed=0)
-    config = TrainConfig.from_dict(header["train_config"])
+    model = build_dflow(_config_from(DFlowConfig, header, "model_config"), seed=0)
+    config = _config_from(TrainConfig, header, "train_config")
     run = TrainRun(model=model, config=config, step=header["step"])
     run.curve = [CurveRecord(step=s, train_loss=t, val_loss=v, val_dice=d)
                  for s, t, v, d in header["curve"]]
 
     params = model.parameters()
+    missing = set(params)
     for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        try:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"checkpoint tensor entry {entry!r} is malformed: {exc!r}")
         count = int(np.prod(shape)) if shape else 1
         start = data_start + offset
         if start + count * 8 > len(blob):
             raise CheckpointError(f"truncated checkpoint: tensor {name} out of range")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         arr = arr.reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
         if name.startswith("param."):
             key = name[len("param."):]
             if key not in params:
@@ -364,13 +375,23 @@ def load_checkpoint(path):
                     f"shape mismatch for {name}: file {arr.shape}, "
                     f"model {params[key].data.shape}")
             params[key].data = arr
+            missing.discard(key)
         elif name.startswith("adam.m."):
             run.adam_m[name[len("adam.m."):]] = arr
         elif name.startswith("adam.v."):
             run.adam_v[name[len("adam.v."):]] = arr
         else:
             raise CheckpointError(f"unknown tensor kind {name!r}")
+    if missing:
+        raise CheckpointError(f"checkpoint lacks tensor param.{min(missing)}")
     return run
+
+
+def _config_from(cls, header, key):
+    try:
+        return cls.from_dict(header[key])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {key} is invalid: {exc}")
 
 
 def write_curve_csv(curve, path):

@@ -1,15 +1,35 @@
-"""Version-1 checkpoint fixture: a tiny rgb+yuv model and its prediction.
+"""Version-1 checkpoint fixtures: tiny rgb+yuv models and their outputs.
 
 ``v1_tiny.dflw`` holds a channels=2, k=2 dual-flow model after three Adam
 steps on :func:`fixture_window`; ``v1_tiny_predict.npy`` holds its
 ``predict`` output on that window. Both were written by the code that first
 defined checkpoint version 1 (header fields ``flow_a_space``/``flow_b_space``,
 tensors ``flow_a.*``/``flow_b.*``), and the tests check that later code loads
-them bit for bit. Do not regenerate them unless the format version changes:
+them bit for bit.
 
-    PYTHONPATH=src python tests/fixtures/v1_checkpoint.py
+``block_tiny.dflw`` holds the same shape of model built from residual blocks
+(``use_block=True``, so the 3D-conv shortcut runs), trained for three Adam
+steps with focal loss at batch size 2 on :func:`block_windows`;
+``block_tiny_predict.npy`` is its ``predict`` output on
+:func:`fixture_window`, and ``block_tiny_resumed.npz`` holds every parameter
+after two more ``resume`` steps. The tests rebuild all three and compare bit
+for bit, which pins the conv2d and conv3d forward passes and both conv vjps.
+
+:func:`corrupt_copy` writes the v1 checkpoint with one defect, for the tests
+of the checkpoint loader's errors.
+
+Do not regenerate these files unless the format version changes or a change
+is meant to alter results. Each set is written separately, because the two
+were made by different versions of the code:
+
+    PYTHONPATH=src python tests/fixtures/v1_checkpoint.py v1
+    PYTHONPATH=src python tests/fixtures/v1_checkpoint.py block
 """
 
+import json
+import struct
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +40,9 @@ from dflow.data import FrameSequence
 HERE = Path(__file__).parent
 CHECKPOINT = HERE / "v1_tiny.dflw"
 PREDICTION = HERE / "v1_tiny_predict.npy"
+BLOCK_CHECKPOINT = HERE / "block_tiny.dflw"
+BLOCK_PREDICTION = HERE / "block_tiny_predict.npy"
+BLOCK_RESUMED = HERE / "block_tiny_resumed.npz"
 
 
 def fixture_window(seed=7, side=6, k=2):
@@ -30,7 +53,60 @@ def fixture_window(seed=7, side=6, k=2):
     return FrameSequence(frames=frames, label=label)
 
 
-def main():
+def block_windows():
+    """The block fixture's train split: two seeded windows."""
+    return {"train": [fixture_window(seed=11), fixture_window(seed=12)]}
+
+
+def train_block():
+    """The block fixture's model after three Adam steps."""
+    from dflow.network import DFlowConfig, build_dflow
+    from dflow.training import TrainConfig, train
+
+    model = build_dflow(DFlowConfig(flow_a_space="rgb", flow_b_space="yuv",
+                                    channels=2, k=2, use_block=True), seed=5)
+    config = TrainConfig(loss="focal", steps=3, lr=1e-2, batch_size=2, seed=1)
+    return train(model, block_windows(), config)
+
+
+def resume_block(run):
+    """Two more steps on ``run``; returns its parameters as arrays."""
+    from dflow.training import resume
+
+    run.config = replace(run.config, steps=run.step + 2)
+    resume(run, block_windows())
+    return {name: t.data for name, t in run.model.parameters().items()}
+
+
+def corrupt_copy(path, defect):
+    """Write the v1 checkpoint to ``path`` with one defect: ``missing_tensor``,
+    ``missing_step``, ``unknown_config_key``, ``entry_without_offset``,
+    ``list_header`` or ``nan_payload``."""
+    blob = CHECKPOINT.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + hlen])
+    payload = bytearray(blob[16 + hlen:])
+    if defect == "missing_tensor":
+        header["tensors"] = [e for e in header["tensors"] if e["name"] != "param.decoder.w"]
+    elif defect == "missing_step":
+        del header["step"]
+    elif defect == "unknown_config_key":
+        header["model_config"]["colour"] = "rgb"
+    elif defect == "entry_without_offset":
+        del header["tensors"][0]["offset"]
+    elif defect == "list_header":
+        header = [header]
+    elif defect == "nan_payload":
+        entry = next(e for e in header["tensors"] if e["name"] == "adam.m.decoder.b")
+        payload[entry["offset"]:entry["offset"] + 8] = struct.pack("<d", float("nan"))
+    else:
+        raise ValueError(defect)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + bytes(payload))
+    return path
+
+
+def write_v1():
     from dflow.network import DFlowConfig, build_dflow
     from dflow.training import TrainConfig, save_checkpoint, train
 
@@ -42,5 +118,14 @@ def main():
     np.save(PREDICTION, run.model.predict(window.frames))
 
 
+def write_block():
+    from dflow.training import load_checkpoint, save_checkpoint
+
+    save_checkpoint(train_block(), BLOCK_CHECKPOINT)
+    run = load_checkpoint(BLOCK_CHECKPOINT)
+    np.save(BLOCK_PREDICTION, run.model.predict(fixture_window().frames))
+    np.savez(BLOCK_RESUMED, **resume_block(run))
+
+
 if __name__ == "__main__":
-    main()
+    {"v1": write_v1, "block": write_block}[sys.argv[1]]()

@@ -7,6 +7,8 @@ from dflow.cli import main
 from dflow.data import read_pgm
 from dflow.training import load_checkpoint
 
+from fixtures import v1_checkpoint
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -103,6 +105,18 @@ class TestInferEval:
         assert blob.startswith(b"P5") and b"65535" in blob
         mask = read_pgm(masks[0])
         assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("defect", ["missing_tensor", "missing_step", "unknown_config_key",
+                                        "entry_without_offset", "list_header",
+                                        "nan_payload"])
+    def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
+                                                        capsys, defect):
+        bad = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
+        rc = main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
 
     def test_eval_emits_metrics_json(self, dataset_dir, trained_dir, tmp_path,
                                      capsys):

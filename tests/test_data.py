@@ -60,6 +60,28 @@ class TestNetpbm:
         with pytest.raises(ValueError):
             read_ppm(path)
 
+    def test_ppm16_reads_big_endian_samples(self, tmp_path):
+        path = tmp_path / "deep.ppm"
+        samples = np.array([65535, 0, 32768], dtype=">u2")
+        path.write_bytes(b"P6\n1 1\n65535\n" + samples.tobytes())
+        npt.assert_array_equal(read_ppm(path), (samples / 65535.0).reshape(3, 1, 1))
+
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("maxval", [0, 70000])
+    def test_maxval_outside_range_is_rejected(self, tmp_path, reader, magic, maxval):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(magic + f"\n1 1\n{maxval}\n".encode() + b"\x00" * 6)
+        with pytest.raises(ValueError, match=f"bad.pnm.*maxval {maxval}"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_short_payload_names_the_file(self, tmp_path, reader, magic, maxval):
+        path = tmp_path / "short.pnm"
+        path.write_bytes(magic + f"\n2 2\n{maxval}\n".encode() + b"\x00" * 3)
+        with pytest.raises(ValueError, match="short.pnm"):
+            reader(path)
+
 
 class TestManifest:
     def test_empty_manifest_is_valid(self, tmp_path):

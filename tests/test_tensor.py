@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,6 +26,7 @@ from dflow.tensor import (
     time_slice,
     zeros,
 )
+from dflow.tensor import _im2col, _pad
 
 from oracles import conv2d_naive, conv3d_naive, finite_difference, rel_err
 
@@ -177,6 +180,46 @@ class TestConv3d:
         npt.assert_allclose(
             conv3d_same(a, Tensor(k1.data + k2.data)).data,
             conv3d_same(a, k1).data + conv3d_same(a, k2).data, atol=1e-10)
+
+
+def im2col_loop(xp, m):
+    """Reference unroll: one strided copy per kernel offset."""
+    cin, spatial = xp.shape[0], xp.shape[1:]
+    out = tuple(n - m + 1 for n in spatial)
+    cols = np.empty((cin, *(m,) * len(spatial), *out), dtype=xp.dtype)
+    for offset in itertools.product(range(m), repeat=len(spatial)):
+        window = tuple(slice(o, o + n) for o, n in zip(offset, out))
+        cols[(slice(None), *offset)] = xp[(slice(None), *window)]
+    return cols.reshape(cin * m ** len(spatial), -1)
+
+
+class TestConvKernel:
+    """The kernel that conv2d_same and conv3d_same share."""
+
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (2, 3, 5, 4)])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_im2col_equals_the_loop_unroll_bit_for_bit(self, shape, m):
+        xp = _pad(np.random.default_rng(m).normal(size=shape), m)
+        cols = _im2col(xp, m)
+        npt.assert_array_equal(cols, im2col_loop(xp, m))
+        assert cols.flags.c_contiguous
+
+    @pytest.mark.parametrize("conv, x_shape, k_shape, b_shape, message", [
+        (conv2d_same, (1, 4), (1, 1, 3, 3), None, "expects input"),
+        (conv2d_same, (1, 4, 4), (1, 1, 3), None, "expects kernel"),
+        (conv2d_same, (1, 4, 4), (1, 1, 3, 1), None, "square, got 3x1"),
+        (conv2d_same, (1, 4, 4), (2, 1, 3, 3), (1,), "bias"),
+        (conv3d_same, (1, 4, 4), (1, 1, 3, 3, 3), None, "expects input"),
+        (conv3d_same, (1, 2, 4, 4), (1, 1, 3, 3), None, "expects kernel"),
+        (conv3d_same, (1, 2, 4, 4), (1, 1, 1, 3, 3), None, "cubic, got 1x3x3"),
+        (conv3d_same, (1, 2, 4, 4), (1, 1, 2, 2, 2), None, "odd"),
+        (conv3d_same, (2, 2, 4, 4), (1, 1, 3, 3, 3), None, "channels"),
+        (conv3d_same, (1, 2, 4, 4), (2, 1, 3, 3, 3), (3,), "bias"),
+    ])
+    def test_shared_check_names_the_defect(self, conv, x_shape, k_shape, b_shape, message):
+        bias = None if b_shape is None else zeros(b_shape)
+        with pytest.raises(ValueError, match=message):
+            conv(zeros(x_shape), zeros(k_shape), bias)
 
 
 class TestBackward:

@@ -271,6 +271,21 @@ class TestCheckpoints:
         save_checkpoint(run, path)
         assert path.read_bytes() == v1_checkpoint.CHECKPOINT.read_bytes()
 
+    def test_block_fixture_is_reproduced_bit_exactly(self, tmp_path):
+        path = tmp_path / "block.dflw"
+        save_checkpoint(v1_checkpoint.train_block(), path)
+        assert path.read_bytes() == v1_checkpoint.BLOCK_CHECKPOINT.read_bytes()
+
+        run = load_checkpoint(v1_checkpoint.BLOCK_CHECKPOINT)
+        assert run.model.config.use_block and run.config.batch_size == 2
+        npt.assert_array_equal(run.model.predict(v1_checkpoint.fixture_window().frames),
+                               np.load(v1_checkpoint.BLOCK_PREDICTION))
+        resumed = v1_checkpoint.resume_block(run)
+        with np.load(v1_checkpoint.BLOCK_RESUMED) as expected:
+            assert sorted(expected.files) == sorted(resumed)
+            for name, values in resumed.items():
+                npt.assert_array_equal(values, expected[name])
+
     def test_corrupted_magic_is_rejected(self, tiny_dataset, tmp_path):
         run = train(tiny_model(seed=13), tiny_dataset, tiny_config(steps=2))
         path = tmp_path / "run.dflw"
@@ -279,6 +294,19 @@ class TestCheckpoints:
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect, named", [
+        ("missing_tensor", "param.decoder.w"),
+        ("missing_step", "step"),
+        ("unknown_config_key", "colour"),
+        ("entry_without_offset", "offset"),
+        ("list_header", "not a JSON object"),
+        ("nan_payload", "adam.m.decoder.b"),
+    ])
+    def test_incomplete_or_corrupt_file_is_rejected(self, tmp_path, defect, named):
+        path = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
+        with pytest.raises(CheckpointError, match=named):
             load_checkpoint(path)
 
     def test_truncated_file_is_rejected(self, tiny_dataset, tmp_path):
