@@ -3,8 +3,10 @@ distance-transform cut.
 
 All three operate on a single grayscale channel in [0, 1] (the luma channel
 in this repo's pipelines) and return {0, 1} masks of the input shape. Window
-statistics use edge-replication padding; the distance transform is the exact
-two-pass Euclidean one.
+statistics use edge-replication padding. The distance transform is exact and
+separable: squared distances along rows are the min-plus convolution
+d[q] = min_p f[p] + (q - p)^2 of the 0 / +inf background indicator, and the
+same identity along the columns of that result gives the 2D squared distance.
 """
 
 from __future__ import annotations
@@ -108,56 +110,29 @@ def otsu_threshold(gray):
     return int(np.argmax(sigma_b)) / 255.0
 
 
-def _edt_1d_squared(f):
-    """Lower-envelope 1D squared distance transform of sampled function f.
+def _min_plus_rows(f):
+    """Squared-distance min-plus along each row: d[i, q] = min_p f[i, p] + (q - p)^2.
 
-    f must be finite (background encoded as 0, unreachable as a large finite
-    sentinel, never inf)."""
-    n = f.shape[0]
-    d = np.empty(n)
-    v = np.empty(n, dtype=np.int64)   # locations of parabolas in the envelope
-    z = np.empty(n + 1)               # boundaries between parabolas
-    k = 0
-    v[0] = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-    for q in range(1, n):
-        while True:
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2.0 * q - 2.0 * v[k])
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
+    One (n, n) parabola table serves every row, so memory is O(n^2) however
+    many rows there are. Entries of f are 0, +inf or exact integers, so every
+    sum and the minimum are exact."""
+    q = np.arange(f.shape[1], dtype=np.float64)
+    parabola = (q[:, None] - q[None, :]) ** 2
+    out = np.empty_like(f)
+    for row, d in zip(f, out):
+        np.min(row + parabola, axis=1, out=d, initial=np.inf)
+    return out
 
 
 def euclidean_distance_transform(mask):
     """Exact Euclidean distance of each foreground (1) pixel to the nearest
-    background (0) pixel, via two 1D passes. All-foreground inputs yield +inf."""
+    background (0) pixel: the separable min-plus identity applied to rows,
+    then to the columns of the result. All-foreground inputs yield +inf."""
     m = np.asarray(mask, dtype=bool)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D mask, got shape {m.shape}")
-    h, w = m.shape
-    # finite sentinel strictly above any achievable squared distance
-    large = float(h * h + w * w + 1)
-    sq = np.where(m, large, 0.0)
-    for i in range(h):
-        if sq[i].any():
-            sq[i] = _edt_1d_squared(sq[i])
-    for j in range(w):
-        if sq[:, j].any():
-            sq[:, j] = _edt_1d_squared(sq[:, j])
-    sq[sq >= large] = np.inf
-    return np.sqrt(sq)
+    sq = _min_plus_rows(np.where(m, np.inf, 0.0))
+    return np.sqrt(_min_plus_rows(sq.T).T)
 
 
 def distance_transform_threshold(gray, params):

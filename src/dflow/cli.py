@@ -11,6 +11,7 @@ on stdout for ``eval``/``params``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -41,11 +42,11 @@ def _build_parser():
 
     def common(p, *, out_required=True):
         p.add_argument("--config", help="JSON file with default flag values")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--train", type=int, help="number of training sequences")
     p.add_argument("--val", type=int, help="number of validation sequences")
     p.add_argument("--test", type=int, help="number of test sequences")
@@ -59,17 +60,21 @@ def _build_parser():
 
     p = sub.add_parser("train", help="train a model on a dataset")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--dataset", required=True, help="dataset root or manifest path")
     p.add_argument("--k", type=int, help="history frames before the current one")
     p.add_argument("--channels", type=int, help="feature maps per flow")
     p.add_argument("--colors", help="one colour space per flow, e.g. rgb+yuv or yuv")
     p.add_argument("--loss", choices=["bce", "focal"])
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int,
+                   help="total step budget (default 500; on resume, the checkpoint's)")
     p.add_argument("--lr", type=float)
     p.add_argument("--preset", choices=sorted(network.PRESET_CHANNELS))
     p.add_argument("--use-block", action="store_true", default=None,
                    help="residual blocks instead of plain stacks")
-    p.add_argument("--checkpoint", help="resume from this checkpoint")
+    p.add_argument("--checkpoint",
+                   help="resume from this checkpoint; its model, k and training "
+                        "settings are kept")
 
     p = sub.add_parser("infer", help="write probability maps for a split")
     common(p)
@@ -102,6 +107,7 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     common(p, out_required=False)
+    p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--channels", type=int)
     p.add_argument("--size", type=int, help="spatial side of the test frames")
@@ -110,6 +116,7 @@ def _build_parser():
 
     p = sub.add_parser("ablate", help="run the seven colour-space configurations")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--dataset", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--channels", type=int)
@@ -201,15 +208,20 @@ def _train_one(dataset, model_config, train_config, build_seed):
 def _cmd_train(args):
     cfg = _resolve(args, {
         "seed": 0, "k": 4, "channels": 40, "colors": "rgb+yuv",
-        "loss": "bce", "steps": 500, "lr": 1e-3, "preset": None, "use_block": None,
+        "loss": "bce", "steps": None, "lr": 1e-3, "preset": None, "use_block": None,
         "dataset": args.dataset, "out": args.out, "checkpoint": None,
     })
+    run = training.load_checkpoint(cfg["checkpoint"]) if cfg["checkpoint"] else None
+    if cfg["steps"] is None:
+        cfg["steps"] = 500 if run is None else run.config.steps
+    if run is not None and cfg["steps"] < run.step:
+        raise CliError(f"steps {cfg['steps']} is below the checkpoint's step {run.step}")
     out_dir = _echo_config(cfg, cfg["out"])
-    dataset = _load_dataset(cfg["dataset"], cfg["k"])
-    if cfg["checkpoint"]:
-        run = training.load_checkpoint(cfg["checkpoint"])
-        run = training.resume(run, dataset)
+    if run is not None:
+        run.config = dataclasses.replace(run.config, steps=cfg["steps"])
+        run = training.resume(run, _load_dataset(cfg["dataset"], run.model.config.k))
     else:
+        dataset = _load_dataset(cfg["dataset"], cfg["k"])
         flow_a, flow_b = _parse_colors(cfg["colors"])
         model_config = network.DFlowConfig(
             flow_a_space=flow_a, flow_b_space=flow_b,
@@ -227,7 +239,7 @@ def _cmd_train(args):
 
 def _cmd_infer(args):
     cfg = _resolve(args, {
-        "seed": 0, "split": "val",
+        "split": "val",
         "checkpoint": args.checkpoint, "dataset": args.dataset, "out": args.out,
     })
     out_dir = _echo_config(cfg, cfg["out"])
@@ -247,7 +259,7 @@ def _cmd_infer(args):
 
 def _cmd_eval(args):
     cfg = _resolve(args, {
-        "seed": 0, "split": "val",
+        "split": "val",
         "checkpoint": args.checkpoint, "dataset": args.dataset, "out": args.out,
     })
     out_dir = _echo_config(cfg, cfg["out"])
@@ -264,7 +276,7 @@ def _cmd_eval(args):
 
 def _cmd_baseline(args):
     cfg = _resolve(args, {
-        "seed": 0, "window": 11, "offset_c": 2.0 / 255.0, "sigma": None,
+        "window": 11, "offset_c": 2.0 / 255.0, "sigma": None,
         "dt_fraction": 0.5, "dataset": args.dataset, "out": args.out,
     })
     out_dir = _echo_config(cfg, cfg["out"])
@@ -291,7 +303,7 @@ def _cmd_baseline(args):
 
 def _cmd_params(args):
     cfg = _resolve(args, {
-        "seed": 0, "m": 3, "gamma": 3, "kappa": 40, "n": 40, "f": 3, "out": args.out,
+        "m": 3, "gamma": 3, "kappa": 40, "n": 40, "f": 3, "out": args.out,
     })
     hp = recurrent.UnitHyperparams(m=cfg["m"], gamma=cfg["gamma"], kappa=cfg["kappa"],
                                    n=cfg["n"], f=cfg["f"])

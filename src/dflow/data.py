@@ -178,9 +178,24 @@ def save_manifest(manifest, path=None):
     return path
 
 
+def _source_record(index, entry):
+    if not isinstance(entry, dict):
+        raise ManifestError(f"manifest source {index} is not a JSON object")
+    for key in ("id", "frames", "labels", "split"):
+        if key not in entry:
+            raise ManifestError(f"manifest source {index} lacks key {key!r}")
+    for key in ("frames", "labels"):
+        if not isinstance(entry[key], list):
+            raise ManifestError(f"manifest source {index}: {key!r} is not a list")
+    return SourceRecord(id=entry["id"], frames=entry["frames"], labels=entry["labels"],
+                        split=entry["split"], metadata=dict(entry.get("metadata", {})))
+
+
 def load_manifest(path):
     """Load and validate a manifest; raises ManifestError naming every missing
-    file, any unknown split tag, or duplicated source ids."""
+    file, any unknown split tag, or duplicated source ids, and naming the
+    first source that is not an object, lacks a key or has non-list
+    frames/labels."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -190,18 +205,17 @@ def load_manifest(path):
         raise ManifestError(f"manifest not found: {path}")
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest does not parse: {exc}")
+    if not isinstance(doc, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
     if doc.get("version") != 1:
         raise ManifestError(f"unsupported manifest version {doc.get('version')!r}")
     root = path.parent
+    entries = doc.get("sources", [])
+    if not isinstance(entries, list):
+        raise ManifestError(f"manifest {path}: 'sources' is not a list")
     sources, problems, seen = [], [], set()
-    for entry in doc.get("sources", []):
-        rec = SourceRecord(
-            id=entry["id"],
-            frames=list(entry["frames"]),
-            labels=list(entry["labels"]),
-            split=entry["split"],
-            metadata=dict(entry.get("metadata", {})),
-        )
+    for index, entry in enumerate(entries):
+        rec = _source_record(index, entry)
         if rec.split not in SPLITS:
             problems.append(f"source {rec.id}: unknown split {rec.split!r}")
         if rec.id in seen:

@@ -88,16 +88,6 @@ def dice_coefficient(pred, label):
     return float(2.0 * (a * b).sum() / total)
 
 
-def _mean_pairwise(dists, same_cluster):
-    # dists: (n, m) block of distances from each of n points to m points
-    if same_cluster:
-        n = dists.shape[0]
-        if n < 2:
-            return None
-        return (dists.sum(axis=1)) / (n - 1)  # diagonal is zero
-    return dists.mean(axis=1)
-
-
 def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
     """Mean silhouette s(i) = (b - a) / max(a, b) over sampled pixels.
 
@@ -116,7 +106,7 @@ def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
     if sample_n < 2:
         raise ValueError("sample_n must be >= 2")
 
-    features = px.reshape(3, -1).T
+    features = px.reshape(3, -1)
     fg_idx = np.flatnonzero(mask == 1.0)
     bg_idx = np.flatnonzero(mask == 0.0)
     if fg_idx.size == 0 or bg_idx.size == 0:
@@ -127,24 +117,25 @@ def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
         fg_idx = rng.choice(fg_idx, size=sample_n, replace=False)
     if bg_idx.size > sample_n:
         bg_idx = rng.choice(bg_idx, size=sample_n, replace=False)
-    fg = features[fg_idx]
-    bg = features[bg_idx]
+    fg = features[:, fg_idx]
+    bg = features[:, bg_idx]
 
     def dist(a, b):
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        return np.sqrt(d2)
+        # one channel at a time, summed in the order numpy sums a length-3 axis
+        d2 = (a[0][:, None] - b[0]) ** 2
+        d2 += (a[1][:, None] - b[1]) ** 2
+        d2 += (a[2][:, None] - b[2]) ** 2
+        return np.sqrt(d2, out=d2)
 
-    d_ff = dist(fg, fg)
-    d_bb = dist(bg, bg)
     d_fb = dist(fg, bg)
-
     scores = []
-    for own, cross in ((d_ff, d_fb), (d_bb, d_fb.T)):
-        a = _mean_pairwise(own, same_cluster=True)
-        b = _mean_pairwise(cross, same_cluster=False)
-        if a is None:  # singleton cluster: every point scores 0
-            scores.append(np.zeros(cross.shape[0]))
+    for own, cross in ((fg, d_fb), (bg, d_fb.T)):
+        n = own.shape[1]
+        if n < 2:  # singleton cluster: every point scores 0
+            scores.append(np.zeros(n))
             continue
+        a = dist(own, own).sum(axis=1) / (n - 1)  # the diagonal is zero
+        b = cross.mean(axis=1)
         denom = np.maximum(a, b)
         s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
         scores.append(s)

@@ -13,6 +13,7 @@ directory), then the tensors as raw little-endian float64 in directory order.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -300,7 +301,9 @@ def _named_tensors(run):
 
 def save_checkpoint(run, path):
     """Serialise a TrainRun; the round trip is bit-exact for every tensor,
-    counter, and curve record."""
+    counter, and curve record. The file is written to ``<path>.tmp`` and
+    renamed over ``path``, so a failed write leaves any previous checkpoint
+    there intact."""
     tensors = _named_tensors(run)
     directory, offset = [], 0
     for name, arr in tensors:
@@ -314,13 +317,20 @@ def save_checkpoint(run, path):
         "tensors": directory,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return path
 
 

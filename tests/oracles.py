@@ -94,6 +94,58 @@ def block_naive(weights1, weights2, shortcut_w, shortcut_b, frames):
     return np.stack([states[t] + residual[:, t] for t in range(len(frames))])
 
 
+def _mean_pairwise(dists, same_cluster):
+    # dists: (n, m) block of distances from each of n points to m points
+    if same_cluster:
+        n = dists.shape[0]
+        if n < 2:
+            return None
+        return (dists.sum(axis=1)) / (n - 1)  # diagonal is zero
+    return dists.mean(axis=1)
+
+
+def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
+    """The silhouette score as first written, with full (n, m, 3) difference
+    arrays; same sampling and summation order, so results must match
+    ``losses.silhouette_score`` bit for bit. ``pred`` must be a binary mask
+    with at least 2 pixels."""
+    mask = np.asarray(pred, dtype=np.float64).reshape(-1)
+    px = np.asarray(image_pixels, dtype=np.float64)
+    features = px.reshape(3, -1).T
+    fg_idx = np.flatnonzero(mask == 1.0)
+    bg_idx = np.flatnonzero(mask == 0.0)
+    if fg_idx.size == 0 or bg_idx.size == 0:
+        return 0.0
+
+    rng = np.random.default_rng(seed)
+    if fg_idx.size > sample_n:
+        fg_idx = rng.choice(fg_idx, size=sample_n, replace=False)
+    if bg_idx.size > sample_n:
+        bg_idx = rng.choice(bg_idx, size=sample_n, replace=False)
+    fg = features[fg_idx]
+    bg = features[bg_idx]
+
+    def dist(a, b):
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        return np.sqrt(d2)
+
+    d_ff = dist(fg, fg)
+    d_bb = dist(bg, bg)
+    d_fb = dist(fg, bg)
+
+    scores = []
+    for own, cross in ((d_ff, d_fb), (d_bb, d_fb.T)):
+        a = _mean_pairwise(own, same_cluster=True)
+        b = _mean_pairwise(cross, same_cluster=False)
+        if a is None:  # singleton cluster: every point scores 0
+            scores.append(np.zeros(cross.shape[0]))
+            continue
+        denom = np.maximum(a, b)
+        s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
+        scores.append(s)
+    return float(np.concatenate(scores).mean())
+
+
 def finite_difference(fn, arr, h=1e-6):
     """Central-difference gradient of scalar fn w.r.t. every entry of arr
     (perturbed in place and restored)."""

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflow.baselines import (
     ThresholdParams,
@@ -155,9 +157,22 @@ class TestDistanceTransform:
         ours = euclidean_distance_transform(mask) ** 2
         npt.assert_allclose(ours, brute_force_distance(mask), atol=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["row", "column", "general"]), st.integers(1, 24),
+           st.integers(1, 24), st.integers(0, 2 ** 32 - 1))
+    def test_equals_brute_force_bit_for_bit(self, kind, h, w, seed):
+        shape = {"row": (1, w), "column": (h, 1), "general": (h, w)}[kind]
+        rng = np.random.default_rng(seed)
+        mask = rng.uniform(size=shape) < rng.uniform()
+        mask.flat[rng.integers(mask.size)] = False  # at least one background pixel
+        assert np.array_equal(euclidean_distance_transform(mask),
+                              np.sqrt(brute_force_distance(mask)))
+
     def test_all_foreground_is_infinite(self):
-        d = euclidean_distance_transform(np.ones((3, 3), dtype=bool))
-        assert np.isinf(d).all()
+        for shape in ((3, 3), (1, 5), (4, 1)):
+            d = euclidean_distance_transform(np.ones(shape, dtype=bool))
+            assert d.shape == shape and np.isinf(d).all()
+        assert euclidean_distance_transform(np.ones((0, 4), dtype=bool)).shape == (0, 4)
 
 
 class TestDistanceTransformThreshold:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from dflow.cli import main
@@ -83,6 +84,55 @@ class TestTrain:
             assert rc == 0
             config = load_checkpoint(out / "checkpoint.dflw").model.config
             assert (config.flow_a_space, config.flow_b_space) == spaces
+
+    def test_resume_runs_to_the_new_step_budget(self, dataset_dir, tmp_path):
+        def train(out, *flags):
+            assert main(["train", "--dataset", str(dataset_dir), "--out",
+                         str(tmp_path / out), "--channels", "2", *flags]) == 0
+            return tmp_path / out
+
+        straight = load_checkpoint(train("straight", "--k", "2", "--steps", "4")
+                                   / "checkpoint.dflw")
+        half = train("half", "--k", "2", "--steps", "2") / "checkpoint.dflw"
+        cfg_file = tmp_path / "steps.json"
+        cfg_file.write_text(json.dumps({"steps": 4}))
+        # no --k: the windows must use the checkpoint's k = 2, not the default 4
+        for flags in (("--steps", "4"), ("--config", str(cfg_file))):
+            out = train("resumed", "--checkpoint", str(half), *flags)
+            assert len((out / "curve.csv").read_text().splitlines()) == 1 + 4
+            resumed = load_checkpoint(out / "checkpoint.dflw")
+            assert resumed.step == 4 and resumed.config.steps == 4
+            for name, t in straight.model.parameters().items():
+                npt.assert_array_equal(resumed.model.parameters()[name].data, t.data)
+            for moments in ("adam_m", "adam_v"):
+                expected, actual = getattr(straight, moments), getattr(resumed, moments)
+                assert sorted(actual) == sorted(expected)
+                for name, values in expected.items():
+                    npt.assert_array_equal(actual[name], values)
+
+    def test_resume_budget_defaults_to_the_checkpoint_and_cannot_shrink(
+            self, dataset_dir, trained_dir, tmp_path, capsys):
+        checkpoint = str(trained_dir / "checkpoint.dflw")
+        out = tmp_path / "again"
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--checkpoint", checkpoint]) == 0
+        assert len((out / "curve.csv").read_text().splitlines()) == 1 + 5
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "x"),
+                     "--checkpoint", checkpoint, "--steps", "3"]) == 1
+        assert "below the checkpoint's step 5" in capsys.readouterr().err
+
+    def test_source_without_id_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
+                                                           capsys):
+        doc = json.loads((dataset_dir / "manifest.json").read_text())
+        del doc["sources"][0]["id"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "out"),
+                   "--k", "2", "--channels", "2", "--steps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "source 0 lacks key 'id'" in err
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
@@ -171,6 +221,18 @@ class TestValidationErrors:
     def test_unknown_flag(self, capsys):
         assert main(["params", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_seed_is_rejected_where_nothing_is_drawn(self, tmp_path, capsys):
+        run_args = ["--checkpoint", "c.dflw", "--dataset", "d", "--out", str(tmp_path)]
+        for argv in (["infer", *run_args], ["eval", *run_args],
+                     ["baseline", "mean", "--dataset", "d", "--out", str(tmp_path)],
+                     ["params"]):
+            assert main([*argv, "--seed", "1"]) == 1
+            assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        cfg_file = tmp_path / "seeded.json"
+        cfg_file.write_text(json.dumps({"seed": 1}))
+        assert main(["eval", *run_args, "--config", str(cfg_file)]) == 1
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert main(["florp"]) == 1

@@ -117,6 +117,39 @@ class TestManifest:
         with pytest.raises(ManifestError, match="parse"):
             load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("key", ["id", "frames", "labels", "split"])
+    def test_source_without_a_key_is_named(self, tmp_path, key):
+        entry = {"id": "s0", "frames": [], "labels": [], "split": "train"}
+        del entry[key]
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"version": 1, "sources": [entry, entry]}))
+        with pytest.raises(ManifestError, match=f"source 0 lacks key '{key}'"):
+            load_manifest(tmp_path)
+
+    def test_source_that_is_not_an_object_is_named(self, tmp_path):
+        entry = {"id": "s0", "frames": [], "labels": [], "split": "train"}
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"version": 1, "sources": [entry, ["s1"]]}))
+        with pytest.raises(ManifestError, match="source 1 is not a JSON object"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("key", ["frames", "labels"])
+    def test_frames_or_labels_not_a_list_is_named(self, tmp_path, key):
+        entry = {"id": "s0", "frames": [], "labels": [], "split": "train", key: 3}
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"version": 1, "sources": [entry]}))
+        with pytest.raises(ManifestError, match=f"source 0: '{key}' is not a list"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("doc, named", [
+        ([], "not a JSON object"),
+        ({"version": 1, "sources": {"id": "s0"}}, "'sources' is not a list"),
+    ], ids=["list", "sources_object"])
+    def test_top_level_that_is_not_an_object_is_rejected(self, tmp_path, doc, named):
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=named):
+            load_manifest(tmp_path)
+
 
 class TestDownsample:
     def test_full_camera_resolution(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflow.losses import (
@@ -15,7 +15,7 @@ from dflow.losses import (
 )
 from dflow.tensor import GradTape, Tensor, backward
 
-from oracles import finite_difference, rel_err
+from oracles import finite_difference, rel_err, silhouette_naive
 
 
 def rand_probs(rng, shape=(1, 6, 6)):
@@ -190,6 +190,39 @@ class TestSilhouette:
         # and b per point: bg0: a=.4 b=.4 -> 0; bg1: a=.4 b=.8 -> .5
         expected = (0.0 + 0.0 + 0.5) / 3.0
         npt.assert_allclose(silhouette_score(pred[0], img), expected, atol=1e-12)
+
+
+@st.composite
+def silhouette_cases(draw):
+    """(mask, image, sample_n, seed) with every foreground count from 0 (a
+    single class) through 1 (a singleton cluster) to the whole image."""
+    h = draw(st.integers(1, 48))
+    w = draw(st.integers(2 if h == 1 else 1, 48))
+    n_fg = draw(st.integers(0, h * w))
+    sample_n = draw(st.sampled_from([2, 5, 1000]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(h * w)
+    mask[rng.permutation(h * w)[:n_fg]] = 1.0
+    return mask.reshape(h, w), rng.uniform(size=(3, h, w)), sample_n, seed
+
+
+def _capped_case():
+    # both classes hold more than the 1000-pixel sample cap
+    rng = np.random.default_rng(3)
+    mask = np.zeros(48 * 48)
+    mask[rng.permutation(48 * 48)[:1152]] = 1.0
+    return mask.reshape(48, 48), rng.uniform(size=(3, 48, 48)), 1000, 3
+
+
+class TestSilhouetteOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(silhouette_cases())
+    @example(_capped_case())
+    def test_matches_the_pairwise_reference_bit_for_bit(self, case):
+        mask, img, sample_n, seed = case
+        assert silhouette_score(mask, img, sample_n, seed) == \
+            silhouette_naive(mask, img, sample_n, seed)
 
 
 class TestPermutationInvariance:

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import dflow.tensor as tensor_mod
+import dflow.training as training_mod
 from dflow.color import ColorImage
 from dflow.data import FrameSequence, SynthSceneParams, load_manifest, \
     load_split_windows, synth_generate
@@ -285,6 +286,41 @@ class TestCheckpoints:
             assert sorted(expected.files) == sorted(resumed)
             for name, values in resumed.items():
                 npt.assert_array_equal(values, expected[name])
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tiny_dataset, tmp_path,
+                                                       monkeypatch):
+        run = train(tiny_model(seed=16), tiny_dataset, tiny_config(steps=2))
+        path = tmp_path / "run.dflw"
+        save_checkpoint(run, path)
+        before = path.read_bytes()
+        run.step += 1
+
+        class PayloadWriteFails:
+            """A file whose writes fail once the 16-byte prefix and header are out."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes > 4:
+                    raise OSError("no space left on device")
+                return self.fh.write(chunk)
+
+        real_open = open
+        monkeypatch.setattr(training_mod, "open",
+                            lambda file, mode: PayloadWriteFails(real_open(file, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(run, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.dflw"]
 
     def test_corrupted_magic_is_rejected(self, tiny_dataset, tmp_path):
         run = train(tiny_model(seed=13), tiny_dataset, tiny_config(steps=2))
