@@ -31,6 +31,15 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self.flags = {}  # dest -> action, checked against --config values
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     def error(self, message):
         raise CliError(message)
 
@@ -41,6 +50,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, out_required=True):
+        p.set_defaults(flags=p.flags)
         p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--out", required=out_required, help="output directory")
 
@@ -127,8 +137,28 @@ def _build_parser():
     return parser
 
 
+def _check_config_value(key, value, action):
+    """A --config value must have the type its flag parses to (a bool is not
+    an int, an int is a valid float, null is never valid) and be one of the
+    flag's choices."""
+    if action.nargs == 0:
+        ok, kind = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise CliError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise CliError(f"config key {key!r} must be one of {sorted(action.choices)}, "
+                       f"got {json.dumps(value)}")
+
+
 def _resolve(args, defaults):
-    """defaults <- config file <- explicit flags; unknown config keys rejected."""
+    """defaults <- config file <- explicit flags; unknown config keys and
+    values their flag would not accept are rejected."""
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -138,9 +168,13 @@ def _resolve(args, defaults):
             raise CliError(f"config file not found: {config_path}")
         except json.JSONDecodeError as exc:
             raise CliError(f"config file does not parse: {exc}")
+        if not isinstance(overlay, dict):
+            raise CliError(f"config file {config_path} is not a JSON object")
         unknown = set(overlay) - set(cfg)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in overlay.items():
+            _check_config_value(key, value, args.flags[key])
         cfg.update(overlay)
     for key in cfg:
         value = getattr(args, key, None)

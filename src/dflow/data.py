@@ -39,7 +39,6 @@ __all__ = [
     "save_manifest",
     "window_sequences",
     "load_split_windows",
-    "downsample4",
     "synth_generate",
     "rasterize_polygon",
     "read_ppm",
@@ -184,9 +183,18 @@ def _source_record(index, entry):
     for key in ("id", "frames", "labels", "split"):
         if key not in entry:
             raise ManifestError(f"manifest source {index} lacks key {key!r}")
+    for key in ("id", "split"):
+        if not isinstance(entry[key], str):
+            raise ManifestError(f"manifest source {index}: {key!r} is not a string")
     for key in ("frames", "labels"):
         if not isinstance(entry[key], list):
             raise ManifestError(f"manifest source {index}: {key!r} is not a list")
+        for pos, rel in enumerate(entry[key]):
+            if not isinstance(rel, str):
+                raise ManifestError(
+                    f"manifest source {index}: {key!r} entry {pos} is not a string")
+    if not isinstance(entry.get("metadata", {}), dict):
+        raise ManifestError(f"manifest source {index}: 'metadata' is not an object")
     return SourceRecord(id=entry["id"], frames=entry["frames"], labels=entry["labels"],
                         split=entry["split"], metadata=dict(entry.get("metadata", {})))
 
@@ -194,8 +202,9 @@ def _source_record(index, entry):
 def load_manifest(path):
     """Load and validate a manifest; raises ManifestError naming every missing
     file, any unknown split tag, or duplicated source ids, and naming the
-    first source that is not an object, lacks a key or has non-list
-    frames/labels."""
+    first source that is not an object, lacks a key, has a non-string id or
+    split, has frames/labels that are not lists of strings, or has a
+    metadata value that is not an object."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -289,22 +298,6 @@ def window_sequences(manifest, k, split=None):
 def load_split_windows(manifest, k):
     """Materialise all windows grouped by split: {'train': [...], ...}."""
     return {split: list(window_sequences(manifest, k, split)) for split in SPLITS}
-
-
-def downsample4(img, method="box"):
-    """Downsample a ColorImage by 4x per axis (box average, or nearest when
-    requested). Dimensions must be divisible by 4."""
-    px = img.pixels
-    h, w = px.shape[1:]
-    if h % 4 or w % 4:
-        raise ValueError(f"dimensions ({h}, {w}) not divisible by 4")
-    if method == "box":
-        small = px.reshape(3, h // 4, 4, w // 4, 4).mean(axis=(2, 4))
-    elif method == "nearest":
-        small = px[:, ::4, ::4].copy()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ColorImage(small, img.space)
 
 
 # --- synthetic scenes ----------------------------------------------------------

@@ -1,7 +1,10 @@
 """Training objectives (BCE, focal) and mask metrics (Dice, silhouette).
 
 Losses take the predicted probability map as a tape tensor so gradients flow
-back through the network; the label is treated as a constant. Metrics are
+back through the network; the label is treated as a constant. Each loss is
+one tape record whose vjp is written out by hand: it returns the terms the
+chain of elementwise primitives (clamp, log, products, mean) would sum, in
+the same order, so losses and gradients keep the chain's bits. Metrics are
 plain numpy and operate on thresholded binary masks.
 """
 
@@ -9,17 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    add,
-    clamp,
-    hadamard,
-    log,
-    mean_all,
-    power,
-    scale,
-    sub_from_one,
-)
+from .tensor import Tensor, _record
 
 __all__ = [
     "validate_label_mask",
@@ -39,21 +32,42 @@ def validate_label_mask(label):
     return lab
 
 
-def _as_const_tensor(y, shape):
+def _label_and_clamp(p, y, eps):
+    """The label as a binary array, p clipped to [eps, 1-eps], and the mask
+    where the clip is inactive."""
+    pd = p.data
     yd = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    if yd.shape != shape:
-        raise ValueError(f"label shape {yd.shape} does not match prediction {shape}")
-    return Tensor(validate_label_mask(yd))
+    if yd.shape != pd.shape:
+        raise ValueError(f"label shape {yd.shape} does not match prediction {pd.shape}")
+    return validate_label_mask(yd), np.clip(pd, eps, 1.0 - eps), (pd > eps) & (pd < 1.0 - eps)
+
+
+def _mean_loss(p, terms, interior, grad_pc):
+    """One tape record for -mean(terms), the terms a function of the clipped p.
+
+    ``grad_pc(gs)`` is the gradient w.r.t. the clipped p when every term's
+    upstream gradient is gs; the vjp zeroes it where the clip is active."""
+    n = terms.size
+    out = Tensor((terms.sum() / n) * -1.0)
+
+    def vjp(g):
+        return (grad_pc(float(g * -1.0) / n) * interior,)
+
+    _record(out, (p,), vjp)
+    return out
 
 
 def bce_loss(p, y, eps=CLAMP_EPS):
     """Mean binary cross entropy -[y ln p + (1-y) ln(1-p)], p clamped to
     [eps, 1-eps]."""
-    yt = _as_const_tensor(y, p.data.shape)
-    pc = clamp(p, eps, 1.0 - eps)
-    pos = hadamard(yt, log(pc))
-    neg = hadamard(sub_from_one(yt), log(sub_from_one(pc)))
-    return scale(mean_all(add(pos, neg)), -1.0)
+    yd, pc, interior = _label_and_clamp(p, y, eps)
+    omy, omp = 1.0 - yd, 1.0 - pc
+    terms = yd * np.log(pc) + omy * np.log(omp)
+
+    def grad_pc(gs):
+        return -((gs * omy) / omp) + (gs * yd) / pc
+
+    return _mean_loss(p, terms, interior, grad_pc)
 
 
 def focal_loss(p, y, alpha=0.25, gamma=2.0, eps=CLAMP_EPS):
@@ -66,14 +80,23 @@ def focal_loss(p, y, alpha=0.25, gamma=2.0, eps=CLAMP_EPS):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    yt = _as_const_tensor(y, p.data.shape)
-    one_minus_y = sub_from_one(yt)
-    alpha_t = Tensor(alpha * yt.data + (1.0 - alpha) * one_minus_y.data)
-    pc = clamp(p, eps, 1.0 - eps)
-    pt = add(hadamard(yt, pc), hadamard(one_minus_y, sub_from_one(pc)))
-    modulator = power(sub_from_one(pt), gamma)
-    weighted = hadamard(alpha_t, hadamard(modulator, log(pt)))
-    return scale(mean_all(weighted), -1.0)
+    yd, pc, interior = _label_and_clamp(p, y, eps)
+    omy, omp = 1.0 - yd, 1.0 - pc
+    alpha_t = alpha * yd + (1.0 - alpha) * omy
+    pt = yd * pc + omy * omp
+    ompt = 1.0 - pt
+    q = float(gamma)
+    modulator = ompt ** q
+    log_pt = np.log(pt)
+    terms = alpha_t * (modulator * log_pt)
+
+    def grad_pc(gs):
+        g_inner = gs * alpha_t
+        d_mod = 0.0 if q == 0.0 else g_inner * log_pt * q * ompt ** (q - 1.0)
+        g_pt = (g_inner * modulator) / pt + -d_mod
+        return -(g_pt * omy) + g_pt * yd
+
+    return _mean_loss(p, terms, interior, grad_pc)
 
 
 def dice_coefficient(pred, label):

@@ -6,7 +6,9 @@ for a same-size 2D convolution:
     f_t = sigmoid(W_f * x_t + U_f * h_{t-1} + b_f)
     h_t = (1 - f_t) o h_{t-1} + f_t o tanh(W_h * x_t + U_h * (f_t o h_{t-1}) + b_h)
 
-with * the padded cross-correlation and o the elementwise product. The block
+with * the padded cross-correlation and o the elementwise product. A step
+records the four convs, the fused gate (``mgu_forget``), the gated state
+f_t o h_{t-1} and the fused update (``mgu_update``): 7 tape records. The block
 stacks two cells and adds a 3D-conv shortcut from the raw input frames to
 the final step's output. Parameter-count formulas for the two-layer ConvLSTM,
 the block, and the plain two-layer stack are implemented exactly as printed
@@ -26,9 +28,8 @@ from .tensor import (
     conv2d_same,
     conv3d_same,
     hadamard,
-    sigmoid,
-    sub_from_one,
-    tanh,
+    mgu_forget,
+    mgu_update,
     time_slice,
     zeros,
 )
@@ -130,11 +131,10 @@ class ConvMguCell:
         if h_prev.data.shape[0] != self.hidden_channels:
             raise ValueError(
                 f"h has {h_prev.data.shape[0]} channels, cell expects {self.hidden_channels}")
-        f = sigmoid(add(conv2d_same(x, self.w_f, self.b_f), conv2d_same(h_prev, self.u_f)))
+        f = mgu_forget(conv2d_same(x, self.w_f, self.b_f), conv2d_same(h_prev, self.u_f))
         gated_prev = hadamard(f, h_prev)
-        candidate = tanh(
-            add(conv2d_same(x, self.w_h, self.b_h), conv2d_same(gated_prev, self.u_h)))
-        h = add(hadamard(sub_from_one(f), h_prev), hadamard(f, candidate))
+        h = mgu_update(f, conv2d_same(x, self.w_h, self.b_h),
+                       conv2d_same(gated_prev, self.u_h), h_prev)
         return h, f
 
     def step(self, x, h_prev):

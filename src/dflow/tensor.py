@@ -8,6 +8,10 @@ are meaningful; float32 is accepted for inference-only use.
 conv2d_same and conv3d_same share one im2col + matmul kernel over 2 or 3
 spatial axes; im2col copies a strided view of the zero-padded input once.
 
+mgu_forget and mgu_update are the ConvMGU cell's point-wise ops, each one
+tape record with a hand-written vjp that returns the same terms, in the same
+order, as the primitive chain it replaces, so results keep their bits.
+
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
 per thread). Gradients accumulate additively when a tensor feeds several
@@ -19,7 +23,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -38,6 +41,8 @@ __all__ = [
     "sum_all",
     "mean_all",
     "time_slice",
+    "mgu_forget",
+    "mgu_update",
     "conv2d_same",
     "conv3d_same",
 ]
@@ -77,16 +82,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def is_finite(self):
-        """True when every stored value is finite (no NaN/Inf)."""
-        return bool(np.all(np.isfinite(self.data)))
-
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        """Copy of the values with no grad tracking (no tape entry will follow it)."""
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -355,6 +352,42 @@ def time_slice(a, t):
     return out
 
 
+# --- fused ConvMGU cell (bit-identical to the primitive chains) --------------
+
+
+def mgu_forget(a, b):
+    """Forget gate sigmoid(a + b) of the two gate pre-activations."""
+    _require_same_shape(a, b, "mgu_forget")
+    y = _sigmoid_values(a.data + b.data)
+    out = Tensor(y)
+
+    def vjp(g):
+        gz = g * _d_sigmoid(y)
+        return (gz, gz)
+
+    _record(out, (a, b), vjp)
+    return out
+
+
+def mgu_update(f, c1, c2, h_prev):
+    """New state (1 - f) o h_prev + f o tanh(c1 + c2)."""
+    for t in (c1, c2, h_prev):
+        _require_same_shape(f, t, "mgu_update")
+    fd, hd = f.data, h_prev.data
+    cand = np.tanh(c1.data + c2.data)
+    omf = 1.0 - fd
+    out = Tensor(omf * hd + fd * cand)
+    need_h = h_prev._track  # a constant initial state needs no gradient
+
+    def vjp(g):
+        gc = (g * fd) * _d_tanh(cand)
+        gh = g * omf if need_h else None
+        return (g * cand + -(g * hd), gc, gc, gh)
+
+    _record(out, (f, c1, c2, h_prev), vjp)
+    return out
+
+
 # --- convolution ------------------------------------------------------------
 
 
@@ -388,12 +421,13 @@ def _im2col(xp, m):
     """(cin * m**nd, positions) patch matrix of a padded (cin, ...) array.
 
     Rows run over (channel, kernel offsets), columns over output positions,
-    both in C order. The patches are a read-only strided view of ``xp``;
-    the reshape makes the one copy."""
+    both in C order. The patches are a read-only strided view of the
+    contiguous ``xp``; the reshape makes the one copy."""
     cin, nd = xp.shape[0], xp.ndim - 1
     out = tuple([n - m + 1 for n in xp.shape[1:]])
-    view = as_strided(xp, (cin,) + (m,) * nd + out, xp.strides + xp.strides[1:],
-                      writeable=False)
+    view = np.ndarray((cin,) + (m,) * nd + out, xp.dtype, buffer=xp, offset=0,
+                      strides=xp.strides + xp.strides[1:])
+    view.flags.writeable = False
     return view.reshape(cin * m ** nd, -1)
 
 
@@ -428,7 +462,10 @@ def _conv_same(x, kernel, bias, nd):
     def vjp(g):
         gk = gx = None
         if need_k:
-            gk = (g.reshape(cout, -1) @ _im2col(xp, m).T).reshape(kd.shape)
+            # the same bits as g2d @ cols.T, faster with the large cols untransposed;
+            # the small transposed product is copied to C order for the optimiser
+            gk = np.ascontiguousarray((_im2col(xp, m) @ g.reshape(cout, -1).T).T)
+            gk = gk.reshape(kd.shape)
         if need_x:
             gx = _conv_forward(g, _flip_kernel(kd))[0]
         if bias is None:

@@ -6,6 +6,21 @@ formulas) and must stay independent of the implementations it checks.
 
 import numpy as np
 
+from dflow.tensor import (
+    Tensor,
+    add,
+    clamp,
+    conv2d_same,
+    hadamard,
+    log,
+    mean_all,
+    power,
+    scale,
+    sigmoid,
+    sub_from_one,
+    tanh,
+)
+
 
 def conv2d_naive(x, k, b=None):
     """Direct six-nested-loop same-padded cross-correlation."""
@@ -144,6 +159,52 @@ def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
         s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
         scores.append(s)
     return float(np.concatenate(scores).mean())
+
+
+# --- primitive chains the fused tape records replace ----------------------------
+# Each is the code the fused op replaced, kept verbatim: 13 records per cell
+# step, 9 per BCE and 12 per focal loss. The fused records must reproduce
+# their values and gradients bit for bit.
+
+
+def mgu_forget_chain(zf_x, zf_h):
+    return sigmoid(add(zf_x, zf_h))
+
+
+def mgu_update_chain(f, zh_x, zh_h, h_prev):
+    return add(hadamard(sub_from_one(f), h_prev), hadamard(f, tanh(add(zh_x, zh_h))))
+
+
+def mgu_step_chain(cell, x, h_prev):
+    """``ConvMguCell.step_with_gate`` as a chain of primitives; returns (h_t, f_t)."""
+    f = sigmoid(add(conv2d_same(x, cell.w_f, cell.b_f), conv2d_same(h_prev, cell.u_f)))
+    gated_prev = hadamard(f, h_prev)
+    candidate = tanh(
+        add(conv2d_same(x, cell.w_h, cell.b_h), conv2d_same(gated_prev, cell.u_h)))
+    h = add(hadamard(sub_from_one(f), h_prev), hadamard(f, candidate))
+    return h, f
+
+
+def bce_loss_chain(p, y, eps=1e-7):
+    """Mean binary cross entropy -[y ln p + (1-y) ln(1-p)], p clamped to
+    [eps, 1-eps]."""
+    yt = Tensor(y)
+    pc = clamp(p, eps, 1.0 - eps)
+    pos = hadamard(yt, log(pc))
+    neg = hadamard(sub_from_one(yt), log(sub_from_one(pc)))
+    return scale(mean_all(add(pos, neg)), -1.0)
+
+
+def focal_loss_chain(p, y, alpha=0.25, gamma=2.0, eps=1e-7):
+    """Mean focal loss -alpha_t (1 - p_t)^gamma ln p_t."""
+    yt = Tensor(y)
+    one_minus_y = sub_from_one(yt)
+    alpha_t = Tensor(alpha * yt.data + (1.0 - alpha) * one_minus_y.data)
+    pc = clamp(p, eps, 1.0 - eps)
+    pt = add(hadamard(yt, pc), hadamard(one_minus_y, sub_from_one(pc)))
+    modulator = power(sub_from_one(pt), gamma)
+    weighted = hadamard(alpha_t, hadamard(modulator, log(pt)))
+    return scale(mean_all(weighted), -1.0)
 
 
 def finite_difference(fn, arr, h=1e-6):

@@ -134,6 +134,22 @@ class TestTrain:
         assert err.startswith("runtime error: ") and err.count("\n") == 1
         assert "source 0 lacks key 'id'" in err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("frames", [3], "source 0: 'frames' entry 0 is not a string"),
+        ("id", ["x"], "source 0: 'id' is not a string"),
+    ], ids=["frame_int", "id_list"])
+    def test_manifest_element_of_the_wrong_type_is_a_one_line_runtime_error(
+            self, dataset_dir, tmp_path, capsys, key, value, named):
+        doc = json.loads((dataset_dir / "manifest.json").read_text())
+        doc["sources"][0][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "out"),
+                   "--k", "2", "--channels", "2", "--steps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
                    "--out", str(tmp_path / "out")])
@@ -233,6 +249,39 @@ class TestValidationErrors:
         cfg_file.write_text(json.dumps({"seed": 1}))
         assert main(["eval", *run_args, "--config", str(cfg_file)]) == 1
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overlay, named", [
+        ({"steps": "ten"}, "'steps' must be an integer"),
+        ({"k": "4"}, "'k' must be an integer"),
+        ({"k": True}, "'k' must be an integer"),
+        ({"lr": None}, "'lr' must be a number"),
+        ({"colors": 5}, "'colors' must be a string"),
+        ({"preset": "huge"}, "'preset' must be one of ['base', 'small']"),
+        ({"use_block": "yes"}, "'use_block' must be true or false"),
+        ({"loss": "dice"}, "'loss' must be one of ['bce', 'focal']"),
+        ([["steps", 3]], "is not a JSON object"),
+    ], ids=["steps_str", "k_str", "k_bool", "lr_null", "colors_int", "preset_unknown",
+            "use_block_str", "loss_unknown", "not_an_object"])
+    def test_config_value_of_the_wrong_type_is_named(self, dataset_dir, tmp_path, capsys,
+                                                     overlay, named):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(overlay))
+        rc = main(["train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "x"),
+                   "--config", str(cfg_file)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_accepts_an_int_where_a_float_is_parsed(self, dataset_dir, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"sigma": 1, "offset_c": 0, "window": 3}))
+        rc = main(["baseline", "mean", "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
+        assert rc == 0
+        echoed = json.loads((tmp_path / "x" / "resolved_config.json").read_text())
+        assert (echoed["sigma"], echoed["offset_c"], echoed["window"]) == (1, 0, 3)
 
     def test_unknown_subcommand(self):
         assert main(["florp"]) == 1

@@ -11,7 +11,6 @@ from dflow.data import (
     ManifestError,
     SourceRecord,
     SynthSceneParams,
-    downsample4,
     load_manifest,
     load_split_windows,
     rasterize_polygon,
@@ -141,6 +140,23 @@ class TestManifest:
         with pytest.raises(ManifestError, match=f"source 0: '{key}' is not a list"):
             load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("id", ["x"], "'id' is not a string"),
+        ("id", 7, "'id' is not a string"),
+        ("split", None, "'split' is not a string"),
+        ("frames", [3], "'frames' entry 0 is not a string"),
+        ("labels", ["l0.pgm", {"path": "l1.pgm"}], "'labels' entry 1 is not a string"),
+        ("metadata", [1], "'metadata' is not an object"),
+    ], ids=["id_list", "id_int", "split_null", "frame_int", "label_object", "metadata_list"])
+    def test_element_of_the_wrong_type_is_named(self, tmp_path, key, value, named):
+        good = {"id": "s0", "frames": [], "labels": [], "split": "train"}
+        bad = dict(good, id="s1")
+        bad[key] = value
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"version": 1, "sources": [good, bad]}))
+        with pytest.raises(ManifestError, match=f"source 1: {named}"):
+            load_manifest(tmp_path)
+
     @pytest.mark.parametrize("doc, named", [
         ([], "not a JSON object"),
         ({"version": 1, "sources": {"id": "s0"}}, "'sources' is not a list"),
@@ -149,40 +165,6 @@ class TestManifest:
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=named):
             load_manifest(tmp_path)
-
-
-class TestDownsample:
-    def test_full_camera_resolution(self):
-        img = ColorImage(np.zeros((3, 960, 1280)), "rgb")
-        out = downsample4(img)
-        assert (out.height, out.width) == (240, 320)
-
-    def test_constant_image_unchanged(self):
-        img = ColorImage(np.full((3, 8, 8), 0.37), "rgb")
-        npt.assert_allclose(downsample4(img).pixels, 0.37, atol=1e-15)
-
-    def test_block_mean(self):
-        block = (np.arange(16, dtype=np.float64) / 15).reshape(4, 4)
-        img = ColorImage(np.stack([block] * 3)[:, :4, :4], "rgb")
-        out = downsample4(img)
-        npt.assert_allclose(out.pixels, 0.5, atol=1e-15)
-
-    def test_preserves_global_mean(self):
-        rng = np.random.default_rng(4)
-        px = rng.uniform(size=(3, 16, 24))
-        out = downsample4(ColorImage(px, "rgb"))
-        npt.assert_allclose(out.pixels.mean(axis=(1, 2)), px.mean(axis=(1, 2)),
-                            atol=1e-12)
-
-    def test_rejects_non_divisible(self):
-        with pytest.raises(ValueError):
-            downsample4(ColorImage(np.zeros((3, 6, 8)), "rgb"))
-
-    def test_nearest_variant(self):
-        rng = np.random.default_rng(5)
-        px = rng.uniform(size=(3, 8, 8))
-        out = downsample4(ColorImage(px, "rgb"), method="nearest")
-        npt.assert_array_equal(out.pixels, px[:, ::4, ::4])
 
 
 class TestWindowing:

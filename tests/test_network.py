@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from dflow.color import ColorImage
-from dflow.losses import bce_loss
+from dflow.losses import bce_loss, focal_loss
 from dflow.network import (
     DFlowConfig,
     DFlowModel,
@@ -192,3 +192,24 @@ class TestEndToEndGradient:
         for name, p in model.parameters().items():
             fd = finite_difference(loss_value, p.data)
             assert rel_err(p.grad, fd).max() < 1e-4, name
+
+
+class TestTapeRecords:
+    """Records one training window puts on the tape (forward plus loss), at
+    k = 4 with two flows: 20 cell steps of 7 records (4 convs, the fused
+    gate, the gated state, the fused update), the flow sum, the decoder's
+    conv and sigmoid, and one loss record; each block adds its 3D conv,
+    time slice and residual add. The counts do not depend on the frame size
+    or the channel count."""
+
+    @pytest.mark.parametrize("use_block, loss, records", [
+        (False, bce_loss, 144),
+        (True, focal_loss, 150),
+    ], ids=["desk_bce", "base_block_focal"])
+    def test_records_per_window_are_pinned(self, use_block, loss, records):
+        rng = np.random.default_rng(0)
+        model = build_dflow(tiny_config(k=4, channels=2, use_block=use_block), seed=0)
+        label = (rng.uniform(size=(1, 8, 8)) > 0.5).astype(np.float64)
+        with GradTape() as tape:
+            loss(model.forward_window(rand_frames(rng, 5)), label)
+        assert len(tape) == records
