@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: synth, train, infer, eval, baseline, params, gradcheck, ablate.
-A JSON config file (``--config``) supplies defaults, explicit flags override
-it, and the fully resolved configuration is echoed into the output directory
-for provenance. Exit codes: 0 success, 1 flag/config validation error,
-2 runtime failure. All messages go to stderr; results go to files (and JSON
-on stdout for ``eval``/``params``).
+Each flag is declared once, with its default, in the argument parser
+(``dflow <command> --help`` lists them). A JSON config file (``--config``)
+replaces those defaults, explicit flags override it, and the resolved flag
+values are echoed into the output directory for provenance. Numbers must be
+finite and sequence counts must not be negative. Exit codes: 0 success,
+1 flag/config validation error, 2 runtime failure. All messages go to
+stderr; results go to files (and JSON on stdout for ``eval``/``params``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,16 +35,29 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        self.flags = {}  # dest -> action, checked against --config values
+        self.flags = {}  # dest -> action of each option a --config file may set
+        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.flags[action.dest] = action
+        if action.option_strings and action.dest not in ("help", "config"):
+            self.flags[action.dest] = action
         return action
 
     def error(self, message):
         raise CliError(message)
+
+
+def _number(text):
+    """The argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _build_parser():
@@ -49,104 +65,109 @@ def _build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, out_required=True):
-        p.set_defaults(flags=p.flags)
+    def common(p, run, *, out_required=True):
+        """``run`` handles the subcommand; --config on every subcommand, and
+        --out unless out_required is None."""
+        p.set_defaults(parser=p, run=run)
         p.add_argument("--config", help="JSON file with default flag values")
-        p.add_argument("--out", required=out_required, help="output directory")
+        if out_required is not None:
+            p.add_argument("--out", required=out_required, help="output directory")
+
+    def training_flags(p, *, channels):
+        """The flags ``train`` and ``ablate`` share."""
+        p.add_argument("--seed", type=int, default=0, help="weight and window-order seed")
+        p.add_argument("--dataset", required=True, help="dataset root or manifest path")
+        p.add_argument("--k", type=int, default=4,
+                       help="history frames before the current one")
+        p.add_argument("--channels", type=int, default=channels, help="feature maps per flow")
+        p.add_argument("--preset", choices=sorted(network.PRESET_CHANNELS),
+                       help="feature maps per flow from a preset, in place of --channels")
+        p.add_argument("--loss", choices=["bce", "focal"], default="bce",
+                       help="training loss")
+        p.add_argument("--lr", type=_number, default=1e-3, help="Adam learning rate")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train", type=int, help="number of training sequences")
-    p.add_argument("--val", type=int, help="number of validation sequences")
-    p.add_argument("--test", type=int, help="number of test sequences")
-    p.add_argument("--frames", type=int, help="frames per sequence")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--noise", type=float, help="Gaussian pixel noise sigma")
-    p.add_argument("--drift", type=float, help="brightness drift amplitude")
-    p.add_argument("--distractors", type=int, help="flickering patches per frame")
-    p.add_argument("--flicker", type=float, help="distractor visibility rate")
+    common(p, _cmd_synth)
+    p.add_argument("--seed", type=int, default=0, help="scene generator seed")
+    p.add_argument("--train", type=int, default=20, help="number of training sequences")
+    p.add_argument("--val", type=int, default=4, help="number of validation sequences")
+    p.add_argument("--test", type=int, default=0, help="number of test sequences")
+    p.add_argument("--frames", type=int, default=8, help="frames per sequence")
+    p.add_argument("--width", type=int, default=32, help="frame width in pixels")
+    p.add_argument("--height", type=int, default=32, help="frame height in pixels")
+    p.add_argument("--noise", type=_number, default=0.02, help="Gaussian pixel noise sigma")
+    p.add_argument("--drift", type=_number, default=0.1, help="brightness drift amplitude")
+    p.add_argument("--distractors", type=int, default=2, help="flickering patches per frame")
+    p.add_argument("--flicker", type=_number, default=0.5, help="distractor visibility rate")
 
     p = sub.add_parser("train", help="train a model on a dataset")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dataset", required=True, help="dataset root or manifest path")
-    p.add_argument("--k", type=int, help="history frames before the current one")
-    p.add_argument("--channels", type=int, help="feature maps per flow")
-    p.add_argument("--colors", help="one colour space per flow, e.g. rgb+yuv or yuv")
-    p.add_argument("--loss", choices=["bce", "focal"])
+    common(p, _cmd_train)
+    training_flags(p, channels=40)
+    p.add_argument("--colors", default="rgb+yuv",
+                   help="one colour space per flow, e.g. rgb+yuv or yuv")
     p.add_argument("--steps", type=int,
-                   help="total step budget (default 500; on resume, the checkpoint's)")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--preset", choices=sorted(network.PRESET_CHANNELS))
+                   help="total step budget; unset means 500, or on resume the checkpoint's")
     p.add_argument("--use-block", action="store_true", default=None,
                    help="residual blocks instead of plain stacks")
     p.add_argument("--checkpoint",
                    help="resume from this checkpoint; its model, k and training "
                         "settings are kept")
 
-    p = sub.add_parser("infer", help="write probability maps for a split")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=data.SPLITS)
-
-    p = sub.add_parser("eval", help="dice/silhouette metrics for a split")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=data.SPLITS)
+    for name, run, text in (("infer", _cmd_infer, "write probability maps for a split"),
+                            ("eval", _cmd_eval, "dice/silhouette metrics for a split")):
+        p = sub.add_parser(name, help=text)
+        common(p, run)
+        p.add_argument("--checkpoint", required=True, help="trained checkpoint")
+        p.add_argument("--dataset", required=True, help="dataset root or manifest path")
+        p.add_argument("--split", choices=data.SPLITS, default="val", help="split to run on")
 
     p = sub.add_parser("baseline", help="run a handcrafted method over frames")
     p.add_argument("method", choices=["mean", "gaussian", "dtransform"])
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--window", type=int)
-    p.add_argument("--offset-c", type=float, dest="offset_c")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--dt-fraction", type=float, dest="dt_fraction")
+    common(p, _cmd_baseline)
+    p.add_argument("--dataset", required=True, help="dataset root or manifest path")
+    p.add_argument("--window", type=int, default=11, help="odd side of the local window")
+    p.add_argument("--offset-c", type=_number, dest="offset_c", default=2.0 / 255.0,
+                   help="offset subtracted from the local mean")
+    p.add_argument("--sigma", type=_number, help="Gaussian sigma; unset means window / 6")
+    p.add_argument("--dt-fraction", type=_number, dest="dt_fraction", default=0.5,
+                   help="threshold as a fraction of the largest distance")
 
     p = sub.add_parser("params", help="parameter-count formulas vs constructed sizes")
-    common(p, out_required=False)
-    p.add_argument("--m", type=int, help="conv kernel size")
-    p.add_argument("--gamma", type=int, help="input channels")
-    p.add_argument("--kappa", type=int, help="feature maps")
-    p.add_argument("--n", type=int, help="output channels")
-    p.add_argument("--f", type=int, help="3d conv kernel size")
+    common(p, _cmd_params, out_required=False)
+    p.add_argument("--m", type=int, default=3, help="conv kernel size")
+    p.add_argument("--gamma", type=int, default=3, help="input channels")
+    p.add_argument("--kappa", type=int, default=40, help="feature maps")
+    p.add_argument("--n", type=int, default=40, help="output channels")
+    p.add_argument("--f", type=int, default=3, help="3d conv kernel size")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
-    common(p, out_required=False)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--size", type=int, help="spatial side of the test frames")
-    p.add_argument("--loss", choices=["bce", "focal"])
-    p.add_argument("--tolerance", type=float)
+    common(p, _cmd_gradcheck, out_required=None)
+    p.add_argument("--seed", type=int, default=0, help="weight and frame seed")
+    p.add_argument("--k", type=int, default=2, help="history frames before the current one")
+    p.add_argument("--channels", type=int, default=2, help="feature maps per flow")
+    p.add_argument("--size", type=int, default=6, help="spatial side of the test frames")
+    p.add_argument("--loss", choices=["bce", "focal"], default="bce", help="loss to check")
+    p.add_argument("--tolerance", type=_number, default=1e-4,
+                   help="largest relative error that passes")
 
     p = sub.add_parser("ablate", help="run the seven colour-space configurations")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--preset", choices=sorted(network.PRESET_CHANNELS))
-    p.add_argument("--loss", choices=["bce", "focal"])
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
+    common(p, _cmd_ablate)
+    training_flags(p, channels=16)
+    p.add_argument("--steps", type=int, default=200, help="training steps per configuration")
     return parser
 
 
 def _check_config_value(key, value, action):
     """A --config value must have the type its flag parses to (a bool is not
-    an int, an int is a valid float, null is never valid) and be one of the
-    flag's choices."""
+    an int, an int is a valid float, null and non-finite numbers are never
+    valid) and be one of the flag's choices."""
     if action.nargs == 0:
         ok, kind = isinstance(value, bool), "true or false"
     elif action.type is int:
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif action.type is float:
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif action.type is _number:
+        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        ok, kind = finite and not isinstance(value, bool), "a number"
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
@@ -156,57 +177,54 @@ def _check_config_value(key, value, action):
                        f"got {json.dumps(value)}")
 
 
-def _resolve(args, defaults):
-    """defaults <- config file <- explicit flags; unknown config keys and
-    values their flag would not accept are rejected."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _parse(argv):
+    """Parse argv. A --config file's values become the sub-parser's defaults
+    and argv is parsed again, so explicit flags still win; unknown config keys
+    and values their flag would not accept are rejected."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
         try:
-            overlay = json.loads(Path(config_path).read_text())
+            overlay = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
-            raise CliError(f"config file not found: {config_path}")
+            raise CliError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise CliError(f"config file does not parse: {exc}")
         if not isinstance(overlay, dict):
-            raise CliError(f"config file {config_path} is not a JSON object")
-        unknown = set(overlay) - set(cfg)
+            raise CliError(f"config file {args.config} is not a JSON object")
+        flags = args.parser.flags
+        unknown = set(overlay) - set(flags)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         for key, value in overlay.items():
-            _check_config_value(key, value, args.flags[key])
-        cfg.update(overlay)
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+            _check_config_value(key, value, flags[key])
+        args.parser.set_defaults(**overlay)
+        args = parser.parse_args(argv)
+    return args
 
 
-def _echo_config(cfg, out_dir):
-    out_dir = Path(out_dir)
+def _echo_config(args):
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echoed = {k: v for k, v in cfg.items() if k != "out"}
+    echoed = {key: getattr(args, key) for key in args.parser.flags if key != "out"}
     (out_dir / "resolved_config.json").write_text(
         json.dumps(echoed, indent=2, sort_keys=True) + "\n")
     return out_dir
 
 
-def _parse_colors(colors):
-    """Flow colour spaces from ``colors``: one part per flow, at most two."""
+def _model_config(args, colors, **extra):
+    """One flow per part of ``colors`` (at most two), each as wide as the
+    preset or ``--channels``."""
     parts = colors.split("+")
     if any(part not in network.SPACE_CHANNELS for part in parts):
         raise CliError(f"unknown colour space in {colors!r} "
                        f"(choose from {sorted(network.SPACE_CHANNELS)})")
     if len(parts) > 2:
         raise CliError(f"at most two flows, like rgb+yuv; got {colors!r}")
-    return parts[0], parts[1] if len(parts) == 2 else None
-
-
-def _model_channels(cfg):
-    if cfg.get("preset"):
-        return network.PRESET_CHANNELS[cfg["preset"]]
-    return cfg["channels"]
+    return network.DFlowConfig(
+        flow_a_space=parts[0], flow_b_space=parts[1] if len(parts) == 2 else None,
+        channels=network.PRESET_CHANNELS[args.preset] if args.preset else args.channels,
+        k=args.k, **extra)
 
 
 def _load_dataset(path, k):
@@ -214,56 +232,47 @@ def _load_dataset(path, k):
     return data.load_split_windows(manifest, k)
 
 
+def _load_run(args):
+    """The checkpoint's run and the dataset windowed at the checkpoint's k."""
+    run = training.load_checkpoint(args.checkpoint)
+    return run, _load_dataset(args.dataset, run.model.config.k)
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
 def _cmd_synth(args):
-    cfg = _resolve(args, {
-        "seed": 0, "train": 20, "val": 4, "test": 0, "frames": 8,
-        "width": 32, "height": 32, "noise": 0.02, "drift": 0.1,
-        "distractors": 2, "flicker": 0.5, "out": args.out,
-    })
-    out_dir = _echo_config(cfg, cfg["out"])
+    for split in data.SPLITS:
+        if getattr(args, split) < 0:
+            raise CliError(f"--{split} must not be negative, got {getattr(args, split)}")
+    out_dir = _echo_config(args)
     params = data.SynthSceneParams(
-        width=cfg["width"], height=cfg["height"], seed=cfg["seed"],
-        brightness_drift=cfg["drift"], distractor_count=cfg["distractors"],
-        flicker_rate=cfg["flicker"], noise_level=cfg["noise"])
-    splits = (["train"] * cfg["train"] + ["val"] * cfg["val"] + ["test"] * cfg["test"])
-    manifest = data.synth_generate(params, len(splits), cfg["frames"], out_dir, splits)
+        width=args.width, height=args.height, seed=args.seed,
+        brightness_drift=args.drift, distractor_count=args.distractors,
+        flicker_rate=args.flicker, noise_level=args.noise)
+    splits = [split for split in data.SPLITS for _ in range(getattr(args, split))]
+    manifest = data.synth_generate(params, len(splits), args.frames, out_dir, splits)
     print(f"wrote {len(manifest.sources)} sequences under {out_dir}", file=sys.stderr)
     return 0
 
 
-def _train_one(dataset, model_config, train_config, build_seed):
-    model = network.build_dflow(model_config, seed=build_seed)
-    return training.train(model, dataset, train_config)
-
-
 def _cmd_train(args):
-    cfg = _resolve(args, {
-        "seed": 0, "k": 4, "channels": 40, "colors": "rgb+yuv",
-        "loss": "bce", "steps": None, "lr": 1e-3, "preset": None, "use_block": None,
-        "dataset": args.dataset, "out": args.out, "checkpoint": None,
-    })
-    run = training.load_checkpoint(cfg["checkpoint"]) if cfg["checkpoint"] else None
-    if cfg["steps"] is None:
-        cfg["steps"] = 500 if run is None else run.config.steps
-    if run is not None and cfg["steps"] < run.step:
-        raise CliError(f"steps {cfg['steps']} is below the checkpoint's step {run.step}")
-    out_dir = _echo_config(cfg, cfg["out"])
+    run = training.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    if args.steps is None:
+        args.steps = 500 if run is None else run.config.steps
+    if run is not None and args.steps < run.step:
+        raise CliError(f"steps {args.steps} is below the checkpoint's step {run.step}")
+    out_dir = _echo_config(args)
     if run is not None:
-        run.config = dataclasses.replace(run.config, steps=cfg["steps"])
-        run = training.resume(run, _load_dataset(cfg["dataset"], run.model.config.k))
+        run.config = dataclasses.replace(run.config, steps=args.steps)
+        run = training.resume(run, _load_dataset(args.dataset, run.model.config.k))
     else:
-        dataset = _load_dataset(cfg["dataset"], cfg["k"])
-        flow_a, flow_b = _parse_colors(cfg["colors"])
-        model_config = network.DFlowConfig(
-            flow_a_space=flow_a, flow_b_space=flow_b,
-            channels=_model_channels(cfg), k=cfg["k"],
-            use_block=bool(cfg["use_block"]))
+        dataset = _load_dataset(args.dataset, args.k)
+        model_config = _model_config(args, args.colors, use_block=bool(args.use_block))
         train_config = training.TrainConfig(
-            loss=cfg["loss"], lr=cfg["lr"], steps=cfg["steps"], seed=cfg["seed"])
-        run = _train_one(dataset, model_config, train_config, cfg["seed"])
+            loss=args.loss, lr=args.lr, steps=args.steps, seed=args.seed)
+        run = training.train(network.build_dflow(model_config, seed=args.seed),
+                             dataset, train_config)
     training.save_checkpoint(run, out_dir / "checkpoint.dflw")
     training.write_curve_csv(run.curve, out_dir / "curve.csv")
     print(f"trained {run.step} steps; model has {run.model.n_params()} parameters; "
@@ -272,16 +281,11 @@ def _cmd_train(args):
 
 
 def _cmd_infer(args):
-    cfg = _resolve(args, {
-        "split": "val",
-        "checkpoint": args.checkpoint, "dataset": args.dataset, "out": args.out,
-    })
-    out_dir = _echo_config(cfg, cfg["out"])
-    run = training.load_checkpoint(cfg["checkpoint"])
-    dataset = _load_dataset(cfg["dataset"], run.model.config.k)
-    windows = dataset[cfg["split"]]
+    out_dir = _echo_config(args)
+    run, dataset = _load_run(args)
+    windows = dataset[args.split]
     if not windows:
-        raise CliError(f"split {cfg['split']!r} is empty")
+        raise CliError(f"split {args.split!r} is empty")
     for seq in windows:
         probs = run.model.predict(seq.frames)
         stem = f"{seq.source_id}_{seq.frame_indices[-1]:05d}"
@@ -292,14 +296,9 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    cfg = _resolve(args, {
-        "split": "val",
-        "checkpoint": args.checkpoint, "dataset": args.dataset, "out": args.out,
-    })
-    out_dir = _echo_config(cfg, cfg["out"])
-    run = training.load_checkpoint(cfg["checkpoint"])
-    dataset = _load_dataset(cfg["dataset"], run.model.config.k)
-    report = training.evaluate(run.model, dataset, cfg["split"])
+    out_dir = _echo_config(args)
+    run, dataset = _load_run(args)
+    report = training.evaluate(run.model, dataset, args.split)
     doc = {"dice": report.mean_dice, "silhouette": report.mean_silhouette,
            "n_windows": report.n_windows}
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -309,20 +308,16 @@ def _cmd_eval(args):
 
 
 def _cmd_baseline(args):
-    cfg = _resolve(args, {
-        "window": 11, "offset_c": 2.0 / 255.0, "sigma": None,
-        "dt_fraction": 0.5, "dataset": args.dataset, "out": args.out,
-    })
-    out_dir = _echo_config(cfg, cfg["out"])
+    out_dir = _echo_config(args)
     params = baselines.ThresholdParams(
-        window=cfg["window"], c=cfg["offset_c"],
-        gaussian_sigma=cfg["sigma"], dt_fraction=cfg["dt_fraction"])
+        window=args.window, c=args.offset_c,
+        gaussian_sigma=args.sigma, dt_fraction=args.dt_fraction)
     method = {
         "mean": baselines.adaptive_threshold_mean,
         "gaussian": baselines.adaptive_threshold_gaussian,
         "dtransform": baselines.distance_transform_threshold,
     }[args.method]
-    manifest = data.load_manifest(cfg["dataset"])
+    manifest = data.load_manifest(args.dataset)
     count = 0
     for src in manifest.sources:
         for rel in src.frames:
@@ -336,11 +331,8 @@ def _cmd_baseline(args):
 
 
 def _cmd_params(args):
-    cfg = _resolve(args, {
-        "m": 3, "gamma": 3, "kappa": 40, "n": 40, "f": 3, "out": args.out,
-    })
-    hp = recurrent.UnitHyperparams(m=cfg["m"], gamma=cfg["gamma"], kappa=cfg["kappa"],
-                                   n=cfg["n"], f=cfg["f"])
+    hp = recurrent.UnitHyperparams(m=args.m, gamma=args.gamma, kappa=args.kappa,
+                                   n=args.n, f=args.f)
     counts = {kind: recurrent.param_count(kind, hp)
               for kind in ("convlstm2", "mgu_block", "mgu_stack2")}
     reduction = 1.0 - counts["mgu_block"] / counts["convlstm2"]
@@ -358,70 +350,44 @@ def _cmd_params(args):
         },
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        out_dir = _echo_config(cfg, args.out)
+    if args.out:
+        out_dir = _echo_config(args)
         (out_dir / "params.json").write_text(text + "\n")
     print(text)
     return 0
 
 
 def _cmd_gradcheck(args):
-    cfg = _resolve(args, {
-        "seed": 0, "k": 2, "channels": 2, "size": 6, "loss": "bce",
-        "tolerance": 1e-4, "out": args.out,
-    })
     model = network.build_dflow(
-        network.DFlowConfig(channels=cfg["channels"], k=cfg["k"]), seed=cfg["seed"])
-    rng = np.random.default_rng(cfg["seed"])
-    side = cfg["size"]
-    frames = [ColorImage(rng.uniform(0.0, 1.0, size=(3, side, side)), "rgb")
-              for _ in range(cfg["k"] + 1)]
-    label = (rng.uniform(size=(1, side, side)) > 0.5).astype(np.float64)
+        network.DFlowConfig(channels=args.channels, k=args.k), seed=args.seed)
+    rng = np.random.default_rng(args.seed)
+    frames = [ColorImage(rng.uniform(0.0, 1.0, size=(3, args.size, args.size)), "rgb")
+              for _ in range(args.k + 1)]
+    label = (rng.uniform(size=(1, args.size, args.size)) > 0.5).astype(np.float64)
     sample = data.FrameSequence(frames=frames, label=label)
-    report = training.gradcheck(model, sample, loss=cfg["loss"],
-                                tolerance=cfg["tolerance"])
+    report = training.gradcheck(model, sample, loss=args.loss, tolerance=args.tolerance)
     print(report)
     return 0 if report.passed else 2
 
 
 def _cmd_ablate(args):
-    cfg = _resolve(args, {
-        "seed": 0, "k": 4, "channels": 16, "preset": None, "loss": "bce",
-        "steps": 200, "lr": 1e-3, "dataset": args.dataset, "out": args.out,
-    })
-    out_dir = _echo_config(cfg, cfg["out"])
-    dataset = _load_dataset(cfg["dataset"], cfg["k"])
+    out_dir = _echo_config(args)
+    dataset = _load_dataset(args.dataset, args.k)
     train_config = training.TrainConfig(
-        loss=cfg["loss"], lr=cfg["lr"], steps=cfg["steps"], seed=cfg["seed"])
+        loss=args.loss, lr=args.lr, steps=args.steps, seed=args.seed)
     for name in ABLATION_CONFIGS:
-        flow_a, flow_b = _parse_colors(name)
-        model_config = network.DFlowConfig(
-            flow_a_space=flow_a, flow_b_space=flow_b,
-            channels=_model_channels(cfg), k=cfg["k"])
-        run = _train_one(dataset, model_config, train_config, cfg["seed"])
+        model = network.build_dflow(_model_config(args, name), seed=args.seed)
+        run = training.train(model, dataset, train_config)
         training.write_curve_csv(run.curve, out_dir / f"{name}.csv")
         print(f"{name}: final train loss {run.curve[-1].train_loss:.4f}",
               file=sys.stderr)
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "infer": _cmd_infer,
-    "eval": _cmd_eval,
-    "baseline": _cmd_baseline,
-    "params": _cmd_params,
-    "gradcheck": _cmd_gradcheck,
-    "ablate": _cmd_ablate,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parse(argv)
+        return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

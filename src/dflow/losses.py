@@ -34,8 +34,10 @@ def validate_label_mask(label):
 
 def _label_and_clamp(p, y, eps):
     """The label as a binary array, p clipped to [eps, 1-eps], and the mask
-    where the clip is inactive."""
+    where the clip is inactive. An empty prediction has no mean loss."""
     pd = p.data
+    if pd.size == 0:
+        raise ValueError(f"empty prediction of shape {pd.shape}")
     yd = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if yd.shape != pd.shape:
         raise ValueError(f"label shape {yd.shape} does not match prediction {pd.shape}")

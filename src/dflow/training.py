@@ -13,9 +13,10 @@ directory), then the tensors as raw little-endian float64 in directory order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -72,6 +73,10 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.lr < 0.0:
             raise ValueError("lr must be >= 0")
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
@@ -249,6 +254,8 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4, h=1e-6):
     differences on one sample window. Restricted to small models (<= 5000
     parameters) since each entry costs two forward passes. ``loss`` is
     "bce", "focal", or any callable (probs, label) -> scalar tensor."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     params = model.parameters()
     total = sum(p.data.size for p in params.values())
     if total > 5000:

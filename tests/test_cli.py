@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -48,6 +49,16 @@ class TestSynth:
         for rel in sorted(p.relative_to(outs[0])
                           for p in outs[0].rglob("*") if p.is_file()):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_negative_sequence_count_names_the_flag(self, tmp_path, capsys, split):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({split: -3}))
+        for flags in ([f"--{split}", "-3"], ["--config", str(cfg_file)]):
+            assert main(["synth", "--out", str(tmp_path / "x"), *flags]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --{split} must not be negative, got -3\n"
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -226,11 +237,41 @@ class TestParams:
         doc = json.loads(capsys.readouterr().out)
         assert doc["formula"]["mgu_stack2"] == 2 * (1 * 2 + 1)
 
+    def test_config_file_out_is_honoured(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out": str(tmp_path / "p"), "n": 2}))
+        assert main(["params", "--config", str(cfg_file)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads((tmp_path / "p" / "params.json").read_text()) == printed
+        echoed = json.loads((tmp_path / "p" / "resolved_config.json").read_text())
+        assert echoed["n"] == 2 and "out" not in echoed
+
 
 class TestGradcheckCommand:
     def test_default_check_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_empty_frames_are_a_one_line_runtime_error(self, capsys):
+        assert main(["gradcheck", "--size", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: empty prediction") and err.count("\n") == 1
+
+    def test_has_no_output_directory(self, tmp_path, capsys):
+        assert main(["gradcheck", "--out", str(tmp_path / "x")]) == 1
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out": str(tmp_path / "x")}))
+        assert main(["gradcheck", "--config", str(cfg_file)]) == 1
+        assert "unknown config keys: ['out']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_config_tolerance_is_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"tolerance": Infinity}')
+        assert main(["gradcheck", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'tolerance' must be a number, got Infinity\n")
 
 
 class TestValidationErrors:
@@ -260,8 +301,10 @@ class TestValidationErrors:
         ({"use_block": "yes"}, "'use_block' must be true or false"),
         ({"loss": "dice"}, "'loss' must be one of ['bce', 'focal']"),
         ([["steps", 3]], "is not a JSON object"),
+        ({"lr": float("nan")}, "'lr' must be a number, got NaN"),
+        ({"lr": float("-inf")}, "'lr' must be a number, got -Infinity"),
     ], ids=["steps_str", "k_str", "k_bool", "lr_null", "colors_int", "preset_unknown",
-            "use_block_str", "loss_unknown", "not_an_object"])
+            "use_block_str", "loss_unknown", "not_an_object", "lr_nan", "lr_minus_inf"])
     def test_config_value_of_the_wrong_type_is_named(self, dataset_dir, tmp_path, capsys,
                                                      overlay, named):
         cfg_file = tmp_path / "cfg.json"
@@ -273,6 +316,32 @@ class TestValidationErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--noise", "nan"],
+        ["synth", "--drift", "inf"],
+        ["synth", "--flicker", "1e400"],
+        ["train", "--dataset", "d", "--steps", "1", "--lr", "nan"],
+        ["baseline", "mean", "--dataset", "d", "--offset-c", "nan"],
+        ["baseline", "gaussian", "--dataset", "d", "--sigma", "inf"],
+        ["baseline", "dtransform", "--dataset", "d", "--dt-fraction", "nan"],
+        ["ablate", "--dataset", "d", "--lr", "1e999"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_non_finite_number_flag_is_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: argument {argv[-2]}: expected a finite number, got {argv[-1]!r}\n")
+        assert not (tmp_path / "x").exists()
+        assert main(["gradcheck", "--tolerance", argv[-1]]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_help_shows_each_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--lr LR Adam learning rate (default: 0.001)" in out
+        assert "one colour space per flow, e.g. rgb+yuv or yuv (default: rgb+yuv)" in out
 
     def test_config_accepts_an_int_where_a_float_is_parsed(self, dataset_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -310,3 +379,35 @@ class TestAblate:
             "rgb.csv", "hsv.csv", "yuv.csv", "rgb+yuv.csv", "rgb+hsv.csv",
             "hsv+yuv.csv", "rgb+y.csv",
         ])
+
+
+class TestResolvedConfig:
+    """Each subcommand echoes every flag at its default. The echo is written
+    before any input is read, so a missing dataset or checkpoint still leaves
+    it (and exits 2)."""
+
+    @pytest.mark.parametrize("argv, rc, expected", [
+        (["synth"], 0, {
+            "seed": 0, "train": 20, "val": 4, "test": 0, "frames": 8, "width": 32,
+            "height": 32, "noise": 0.02, "drift": 0.1, "distractors": 2, "flicker": 0.5}),
+        (["train", "--dataset", "missing"], 2, {
+            "seed": 0, "dataset": "missing", "k": 4, "channels": 40, "colors": "rgb+yuv",
+            "loss": "bce", "steps": 500, "lr": 0.001, "preset": None, "use_block": None,
+            "checkpoint": None}),
+        (["infer", "--checkpoint", "missing.dflw", "--dataset", "missing"], 2, {
+            "checkpoint": "missing.dflw", "dataset": "missing", "split": "val"}),
+        (["eval", "--checkpoint", "missing.dflw", "--dataset", "missing"], 2, {
+            "checkpoint": "missing.dflw", "dataset": "missing", "split": "val"}),
+        (["baseline", "mean", "--dataset", "missing"], 2, {
+            "dataset": "missing", "window": 11, "offset_c": 2.0 / 255.0, "sigma": None,
+            "dt_fraction": 0.5}),
+        (["params"], 0, {"m": 3, "gamma": 3, "kappa": 40, "n": 40, "f": 3}),
+        (["ablate", "--dataset", "missing"], 2, {
+            "seed": 0, "dataset": "missing", "k": 4, "channels": 16, "preset": None,
+            "loss": "bce", "steps": 200, "lr": 0.001}),
+    ], ids=["synth", "train", "infer", "eval", "baseline", "params", "ablate"])
+    def test_defaults_are_echoed(self, tmp_path, monkeypatch, capsys, argv, rc, expected):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "o"]) == rc
+        assert Path("o/resolved_config.json").read_text() == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n")

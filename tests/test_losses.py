@@ -108,6 +108,12 @@ class TestFocal:
         assert rel_err(p.grad, fd).max() < 1e-4
 
 
+@pytest.mark.parametrize("loss_fn", [bce_loss, focal_loss], ids=["bce", "focal"])
+def test_empty_prediction_is_rejected(loss_fn):
+    with pytest.raises(ValueError, match="empty prediction"):
+        loss_fn(Tensor(np.zeros((1, 0, 0))), np.zeros((1, 0, 0)))
+
+
 class TestDice:
     def test_identical_nonempty_masks(self):
         m = np.array([[[1.0, 0.0], [1.0, 1.0]]])

@@ -69,6 +69,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(tiny_model(), {"train": [], "val": []}, tiny_config())
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("beta1", float("nan")),
+        ("adam_eps", float("-inf")), ("focal_gamma", float("inf")),
+    ])
+    def test_non_finite_config_number_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_divergence_aborts_with_diagnostic(self, tiny_dataset):
         model = tiny_model()
         model.decoder_b.data[...] = np.nan
@@ -190,6 +198,12 @@ class TestGradcheck:
         monkeypatch.setattr(tensor_mod, "_d_sigmoid", lambda y: -(y * (1.0 - y)))
         report = gradcheck(model, self.make_sample(rng), loss="bce")
         assert not report.passed
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1e-4])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        sample = self.make_sample(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            gradcheck(tiny_model(seed=5), sample, tolerance=tolerance)
 
     def test_oversized_model_rejected(self):
         rng = np.random.default_rng(4)
