@@ -188,7 +188,7 @@ def _parse(argv):
             overlay = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise CliError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(f"config file does not parse: {exc}")
         if not isinstance(overlay, dict):
             raise CliError(f"config file {args.config} is not a JSON object")
@@ -245,11 +245,14 @@ def _cmd_synth(args):
     for split in data.SPLITS:
         if getattr(args, split) < 0:
             raise CliError(f"--{split} must not be negative, got {getattr(args, split)}")
+    try:
+        params = data.SynthSceneParams(
+            width=args.width, height=args.height, seed=args.seed,
+            brightness_drift=args.drift, distractor_count=args.distractors,
+            flicker_rate=args.flicker, noise_level=args.noise)
+    except ValueError as exc:
+        raise CliError(str(exc))
     out_dir = _echo_config(args)
-    params = data.SynthSceneParams(
-        width=args.width, height=args.height, seed=args.seed,
-        brightness_drift=args.drift, distractor_count=args.distractors,
-        flicker_rate=args.flicker, noise_level=args.noise)
     splits = [split for split in data.SPLITS for _ in range(getattr(args, split))]
     manifest = data.synth_generate(params, len(splits), args.frames, out_dir, splits)
     print(f"wrote {len(manifest.sources)} sequences under {out_dir}", file=sys.stderr)
@@ -358,6 +361,8 @@ def _cmd_params(args):
 
 
 def _cmd_gradcheck(args):
+    if args.tolerance <= 0:
+        raise CliError(f"--tolerance must be > 0, got {args.tolerance}")
     model = network.build_dflow(
         network.DFlowConfig(channels=args.channels, k=args.k), seed=args.seed)
     rng = np.random.default_rng(args.seed)

@@ -4,18 +4,21 @@ Each flow runs a two-layer recurrent stack (or residual block) over its own
 colour rendering of the same frames; the flows' final feature maps are summed
 elementwise and a single biased convolution plus sigmoid decodes them into a
 per-pixel target probability for the final frame. A single-flow model is the
-same path with one flow.
+same path with one flow. The flows share nothing until the sum, so they run
+concurrently through :func:`dflow.tensor.branches` (one worker per spare CPU),
+forward and backward, with bits that do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
 from .color import extract_y, rgb_to_hsv, rgb_to_yuv
 from .recurrent import ConvMguBlock, ConvMguStack2, _uniform, count_actual_params
-from .tensor import Tensor, add, conv2d_same, sigmoid, zeros
+from .tensor import Tensor, add, branches, conv2d_same, sigmoid, zeros
 
 __all__ = [
     "SPACE_CHANNELS",
@@ -117,20 +120,25 @@ class DFlowModel:
     def forward_window(self, frames_rgb):
         """(1, H, W) probability map for the final frame of k+1 RGB frames.
 
-        Each flow runs on its own colour rendering of the frames; the flows'
-        final features are summed and decoded."""
+        Each flow runs on its own colour rendering of the frames, all flows
+        at the same time; their final features are summed in flow order and
+        decoded."""
         expected = self.config.k + 1
         if len(frames_rgb) != expected:
             raise ValueError(f"model needs {expected} frames, got {len(frames_rgb)}")
-        fused = None
-        for _, space, flow in self._flows():
-            features = flow.forward(frames_for_flow(frames_rgb, space))
-            fused = features if fused is None else add(fused, features)
+        fused, *rest = branches(
+            partial(_run_flow, flow, frames_rgb, space) for _, space, flow in self._flows())
+        for features in rest:
+            fused = add(fused, features)
         return self._decode(fused)
 
     def predict(self, frames_rgb):
         """Inference-only probabilities as a plain (1, H, W) array."""
         return self.forward_window(frames_rgb).data
+
+
+def _run_flow(flow, frames_rgb, space):
+    return flow.forward(frames_for_flow(frames_rgb, space))
 
 
 def _build_flow(config, space, rng):

@@ -16,11 +16,22 @@ Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
 per thread). Gradients accumulate additively when a tensor feeds several
 consumers, in tape order, so replaying the same tape is bit-reproducible.
+
+branches runs independent functions (the model's colour flows) at the same
+time: the first on the calling thread, the rest on a pool with one worker
+per usable CPU beyond the first. Each branch records to its own sub-tape and
+backward replays the sub-tapes concurrently too. A branch owns every running
+gradient sum its sub-tape touches while it replays, so each sum is added up
+in the order a sequential replay uses, and the bits do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +39,7 @@ __all__ = [
     "Tensor",
     "GradTape",
     "backward",
+    "branches",
     "zeros",
     "sigmoid",
     "tanh",
@@ -130,7 +142,33 @@ class GradTape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        """Primitive records, counting those inside :func:`branches` sub-tapes."""
+        return sum(len(r) if isinstance(r, _Branches) else 1 for r in self._records)
+
+
+class _Branches:
+    """One tape entry for a :func:`branches` call: its sub-tapes, and for each
+    the ids of the tracked tensors its records read or produce."""
+
+    def __init__(self, tapes):
+        self.tapes = tapes
+        self.touched = [{id(t) for out, inputs, _ in _leaves(tape._records)
+                         for t in (out, *inputs) if t._track} for tape in tapes]
+        if len(set().union(*self.touched)) != sum(map(len, self.touched)):
+            raise ValueError("branches must not share a tracked input")
+
+    def __len__(self):
+        return sum(map(len, self.tapes))
+
+
+def _leaves(records):
+    """The primitive records of ``records``, sub-tapes included."""
+    for rec in records:
+        if isinstance(rec, _Branches):
+            for tape in rec.tapes:
+                yield from _leaves(tape._records)
+        else:
+            yield rec
 
 
 def _record(out, inputs, vjp):
@@ -153,11 +191,24 @@ def backward(tape, loss):
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if not tape._records:
         raise ValueError("cannot backpropagate through an empty tape")
-    if not any(out is loss for out, _, _ in tape._records):
+    if not any(out is loss for out, _, _ in _leaves(tape._records)):
         raise ValueError("loss was not produced under this tape")
     grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
     trainable = {}
-    for out, inputs, vjp in reversed(tape._records):
+    _replay(tape._records, grads, trainable)
+    for t in trainable.values():
+        g = grads.get(id(t))
+        t.grad = np.array(g) if g is not None else np.zeros_like(t.data)
+
+
+def _replay(records, grads, trainable):
+    """Run ``records``' vjps in reverse, summing into ``grads`` (id -> running
+    sum) and collecting the trainable inputs into ``trainable``."""
+    for rec in reversed(records):
+        if isinstance(rec, _Branches):
+            _replay_branches(rec, grads, trainable)
+            continue
+        out, inputs, vjp = rec
         for t in inputs:
             if t.requires_grad and id(t) not in trainable:
                 trainable[id(t)] = t
@@ -165,13 +216,78 @@ def backward(tape, loss):
         if g is None:
             continue
         for t, ig in zip(inputs, vjp(g)):
-            if ig is None:
+            if ig is None or not t._track:
                 continue
             acc = grads.get(id(t))
             grads[id(t)] = ig if acc is None else acc + ig
-    for t in trainable.values():
-        g = grads.get(id(t))
-        t.grad = np.array(g) if g is not None else np.zeros_like(t.data)
+
+
+def _replay_branches(entry, grads, trainable):
+    # Each sub-tape takes over the running sums of the tensors it touches and
+    # hands them back afterwards: no two sub-tapes touch the same tensor, so
+    # every sum grows in the order a sequential replay would add it up.
+    owned = [{i: grads.pop(i) for i in touched if i in grads} for touched in entry.touched]
+    found = [{} for _ in entry.tapes]
+    _run_all([partial(_replay, tape._records, g, tr)
+              for tape, g, tr in zip(entry.tapes, owned, found)])
+    for g, tr in zip(owned, found):
+        grads.update(g)
+        trainable.update(tr)
+
+
+# --- concurrent branches -------------------------------------------------------
+
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# one worker per usable CPU beyond the first; its threads start on first use
+# and mark themselves as workers
+_POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="dflow-branch",
+                           initializer=setattr, initargs=(_TLS, "worker", True)) \
+    if _CPUS > 1 else None
+
+
+def _run_all(calls):
+    """Results of the zero-argument ``calls``, in order. The first runs on
+    this thread and the rest on the pool; with no pool, or on a pool worker
+    (which must never wait on the pool), they all run here one by one. Every
+    call finishes before the first exception, in call order, is raised."""
+    inline = _POOL is None or getattr(_TLS, "worker", False)
+    futures = [None] + [None if inline else _POOL.submit(c) for c in calls[1:]]
+    results, error = [], None
+    for call, future in zip(calls, futures):
+        try:
+            results.append(call() if future is None else future.result())
+        except Exception as exc:
+            error = error or exc
+    if error is not None:
+        raise error
+    return results
+
+
+def branches(fns):
+    """Run independent zero-argument functions at the same time and return
+    their results in order.
+
+    Under an active tape each function records to its own sub-tape, and the
+    tape gets one entry for the call (``len`` counts the records inside it);
+    :func:`backward` replays the sub-tapes at the same time. Functions that
+    read a common tracked tensor raise ``ValueError``. If any function
+    raises, the first such exception is raised once all have finished, and
+    the tape gets nothing.
+    """
+    fns = list(fns)
+    stack = _tape_stack()
+    if not stack:
+        return _run_all(fns)
+    tapes = [GradTape() for _ in fns]
+    results = _run_all([partial(_on_tape, tape, fn) for fn, tape in zip(fns, tapes)])
+    stack[-1]._records.append(_Branches(tapes))
+    return results
+
+
+def _on_tape(tape, fn):
+    with tape:
+        return fn()
 
 
 # --- elementwise primitives -------------------------------------------------

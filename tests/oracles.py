@@ -6,6 +6,7 @@ formulas) and must stay independent of the implementations it checks.
 
 import numpy as np
 
+from dflow.network import frames_for_flow
 from dflow.tensor import (
     Tensor,
     add,
@@ -230,3 +231,21 @@ def rel_err(a, b, floor=1e-5):
 
 def cell_weight_arrays(cell):
     return {name: t.data for name, t in cell.parameters().items()}
+
+
+# --- the flows run one after the other --------------------------------------------
+
+
+def forward_window_sequential(model, frames_rgb):
+    """``DFlowModel.forward_window`` as it was before the flows ran
+    concurrently: each flow in turn on the calling thread, straight onto the
+    active tape. The concurrent forward must match its probabilities and
+    gradients bit for bit."""
+    expected = model.config.k + 1
+    if len(frames_rgb) != expected:
+        raise ValueError(f"model needs {expected} frames, got {len(frames_rgb)}")
+    fused = None
+    for _, space, flow in model._flows():
+        features = flow.forward(frames_for_flow(frames_rgb, space))
+        fused = features if fused is None else add(fused, features)
+    return model._decode(fused)

@@ -60,6 +60,20 @@ class TestSynth:
             assert err == f"error: --{split} must not be negative, got -3\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--width", "0", "image size must be positive"),
+        ("--height", "-2", "image size must be positive"),
+        ("--noise", "-1", "noise_level must lie in [0, 1], got -1.0"),
+        ("--flicker", "5", "flicker_rate must lie in [0, 1], got 5.0"),
+        ("--drift", "2", "brightness_drift must lie in [0, 1], got 2.0"),
+        ("--distractors", "-1", "counts must be non-negative"),
+    ])
+    def test_out_of_range_scene_value_is_rejected_before_writing(self, tmp_path, capsys,
+                                                                 flag, value, named):
+        assert main(["synth", "--out", str(tmp_path / "x"), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_curve(self, trained_dir):
@@ -266,6 +280,12 @@ class TestGradcheckCommand:
         assert "unknown config keys: ['out']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1e-4"])
+    def test_tolerance_must_be_positive(self, capsys, tolerance):
+        assert main(["gradcheck", f"--tolerance={tolerance}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --tolerance must be > 0, got {float(tolerance)}\n")
+
     def test_non_finite_config_tolerance_is_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"tolerance": Infinity}')
@@ -275,6 +295,14 @@ class TestGradcheckCommand:
 
 
 class TestValidationErrors:
+    def test_config_file_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b"P6\n2 2\n255\n\xb6\xff\x00\x81")
+        assert main(["params", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file does not parse: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_unknown_flag(self, capsys):
         assert main(["params", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
