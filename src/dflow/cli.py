@@ -5,7 +5,7 @@ Each flag is declared once, with its default, in the argument parser
 (``dflow <command> --help`` lists them). A JSON config file (``--config``)
 replaces those defaults, explicit flags override it, and the resolved flag
 values are echoed into the output directory for provenance. Numbers must be
-finite and sequence counts must not be negative. Exit codes: 0 success,
+finite; a value a library config rejects writes nothing. Exit codes: 0 success,
 1 flag/config validation error, 2 runtime failure. All messages go to
 stderr; results go to files (and JSON on stdout for ``eval``/``params``).
 """
@@ -212,16 +212,23 @@ def _echo_config(args):
     return out_dir
 
 
+def _valid(cls, **values):
+    """``cls(**values)`` with the ValueError of its checks as a CliError; call
+    it before ``_echo_config``, so that a rejected value writes nothing."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def _model_config(args, colors, **extra):
     """One flow per part of ``colors`` (at most two), each as wide as the
     preset or ``--channels``."""
     parts = colors.split("+")
-    if any(part not in network.SPACE_CHANNELS for part in parts):
-        raise CliError(f"unknown colour space in {colors!r} "
-                       f"(choose from {sorted(network.SPACE_CHANNELS)})")
     if len(parts) > 2:
         raise CliError(f"at most two flows, like rgb+yuv; got {colors!r}")
-    return network.DFlowConfig(
+    return _valid(
+        network.DFlowConfig,
         flow_a_space=parts[0], flow_b_space=parts[1] if len(parts) == 2 else None,
         channels=network.PRESET_CHANNELS[args.preset] if args.preset else args.channels,
         k=args.k, **extra)
@@ -233,27 +240,31 @@ def _load_dataset(path, k):
 
 
 def _load_run(args):
-    """The checkpoint's run and the dataset windowed at the checkpoint's k."""
+    """The checkpoint's run and the ``--split`` windows at the checkpoint's k."""
     run = training.load_checkpoint(args.checkpoint)
-    return run, _load_dataset(args.dataset, run.model.config.k)
+    windows = _load_dataset(args.dataset, run.model.config.k)[args.split]
+    if not windows:
+        raise CliError(f"split {args.split!r} is empty")
+    return run, windows
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def _cmd_synth(args):
-    for split in data.SPLITS:
-        if getattr(args, split) < 0:
-            raise CliError(f"--{split} must not be negative, got {getattr(args, split)}")
-    try:
-        params = data.SynthSceneParams(
-            width=args.width, height=args.height, seed=args.seed,
-            brightness_drift=args.drift, distractor_count=args.distractors,
-            flicker_rate=args.flicker, noise_level=args.noise)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    counts = {split: getattr(args, split) for split in data.SPLITS}
+    for split, count in counts.items():
+        if count < 0:
+            raise CliError(f"--{split} must not be negative, got {count}")
+    if sum(counts.values()) < 1 or args.frames < 1:
+        raise CliError("need at least one sequence (--train, --val, --test) "
+                       "of at least one frame (--frames)")
+    params = _valid(data.SynthSceneParams,
+                    width=args.width, height=args.height, seed=args.seed,
+                    brightness_drift=args.drift, distractor_count=args.distractors,
+                    flicker_rate=args.flicker, noise_level=args.noise)
     out_dir = _echo_config(args)
-    splits = [split for split in data.SPLITS for _ in range(getattr(args, split))]
+    splits = [split for split, count in counts.items() for _ in range(count)]
     manifest = data.synth_generate(params, len(splits), args.frames, out_dir, splits)
     print(f"wrote {len(manifest.sources)} sequences under {out_dir}", file=sys.stderr)
     return 0
@@ -265,15 +276,16 @@ def _cmd_train(args):
         args.steps = 500 if run is None else run.config.steps
     if run is not None and args.steps < run.step:
         raise CliError(f"steps {args.steps} is below the checkpoint's step {run.step}")
+    if run is None:
+        model_config = _model_config(args, args.colors, use_block=bool(args.use_block))
+        train_config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
+                              steps=args.steps, seed=args.seed)
     out_dir = _echo_config(args)
     if run is not None:
         run.config = dataclasses.replace(run.config, steps=args.steps)
         run = training.resume(run, _load_dataset(args.dataset, run.model.config.k))
     else:
         dataset = _load_dataset(args.dataset, args.k)
-        model_config = _model_config(args, args.colors, use_block=bool(args.use_block))
-        train_config = training.TrainConfig(
-            loss=args.loss, lr=args.lr, steps=args.steps, seed=args.seed)
         run = training.train(network.build_dflow(model_config, seed=args.seed),
                              dataset, train_config)
     training.save_checkpoint(run, out_dir / "checkpoint.dflw")
@@ -285,10 +297,7 @@ def _cmd_train(args):
 
 def _cmd_infer(args):
     out_dir = _echo_config(args)
-    run, dataset = _load_run(args)
-    windows = dataset[args.split]
-    if not windows:
-        raise CliError(f"split {args.split!r} is empty")
+    run, windows = _load_run(args)
     for seq in windows:
         probs = run.model.predict(seq.frames)
         stem = f"{seq.source_id}_{seq.frame_indices[-1]:05d}"
@@ -300,8 +309,8 @@ def _cmd_infer(args):
 
 def _cmd_eval(args):
     out_dir = _echo_config(args)
-    run, dataset = _load_run(args)
-    report = training.evaluate(run.model, dataset, args.split)
+    run, windows = _load_run(args)
+    report = training.evaluate(run.model, {args.split: windows}, args.split)
     doc = {"dice": report.mean_dice, "silhouette": report.mean_silhouette,
            "n_windows": report.n_windows}
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -311,10 +320,9 @@ def _cmd_eval(args):
 
 
 def _cmd_baseline(args):
+    params = _valid(baselines.ThresholdParams, window=args.window, c=args.offset_c,
+                    gaussian_sigma=args.sigma, dt_fraction=args.dt_fraction)
     out_dir = _echo_config(args)
-    params = baselines.ThresholdParams(
-        window=args.window, c=args.offset_c,
-        gaussian_sigma=args.sigma, dt_fraction=args.dt_fraction)
     method = {
         "mean": baselines.adaptive_threshold_mean,
         "gaussian": baselines.adaptive_threshold_gaussian,
@@ -334,8 +342,8 @@ def _cmd_baseline(args):
 
 
 def _cmd_params(args):
-    hp = recurrent.UnitHyperparams(m=args.m, gamma=args.gamma, kappa=args.kappa,
-                                   n=args.n, f=args.f)
+    hp = _valid(recurrent.UnitHyperparams, m=args.m, gamma=args.gamma, kappa=args.kappa,
+                n=args.n, f=args.f)
     counts = {kind: recurrent.param_count(kind, hp)
               for kind in ("convlstm2", "mgu_block", "mgu_stack2")}
     reduction = 1.0 - counts["mgu_block"] / counts["convlstm2"]
@@ -364,7 +372,7 @@ def _cmd_gradcheck(args):
     if args.tolerance <= 0:
         raise CliError(f"--tolerance must be > 0, got {args.tolerance}")
     model = network.build_dflow(
-        network.DFlowConfig(channels=args.channels, k=args.k), seed=args.seed)
+        _valid(network.DFlowConfig, channels=args.channels, k=args.k), seed=args.seed)
     rng = np.random.default_rng(args.seed)
     frames = [ColorImage(rng.uniform(0.0, 1.0, size=(3, args.size, args.size)), "rgb")
               for _ in range(args.k + 1)]
@@ -376,12 +384,13 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_ablate(args):
+    model_configs = {name: _model_config(args, name) for name in ABLATION_CONFIGS}
+    train_config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
+                          steps=args.steps, seed=args.seed)
     out_dir = _echo_config(args)
     dataset = _load_dataset(args.dataset, args.k)
-    train_config = training.TrainConfig(
-        loss=args.loss, lr=args.lr, steps=args.steps, seed=args.seed)
-    for name in ABLATION_CONFIGS:
-        model = network.build_dflow(_model_config(args, name), seed=args.seed)
+    for name, model_config in model_configs.items():
+        model = network.build_dflow(model_config, seed=args.seed)
         run = training.train(model, dataset, train_config)
         training.write_curve_csv(run.curve, out_dir / f"{name}.csv")
         print(f"{name}: final train loss {run.curve[-1].train_loss:.4f}",

@@ -47,10 +47,11 @@ class DFlowConfig:
     decoder_kernel_size: int = 3
 
     def __post_init__(self):
-        if self.flow_a_space not in SPACE_CHANNELS:
-            raise ValueError(f"unknown colour space {self.flow_a_space!r}")
-        if self.flow_b_space is not None and self.flow_b_space not in SPACE_CHANNELS:
-            raise ValueError(f"unknown colour space {self.flow_b_space!r}")
+        spaces = [self.flow_a_space] + ([self.flow_b_space] if self.dual_flow else [])
+        for space in spaces:
+            if space not in SPACE_CHANNELS:
+                raise ValueError(f"unknown colour space {space!r} "
+                                 f"(choose from {sorted(SPACE_CHANNELS)})")
         if self.channels < 1 or self.k < 1:
             raise ValueError("channels and k must be >= 1")
         for name in ("kernel_size", "shortcut_kernel_size", "decoder_kernel_size"):

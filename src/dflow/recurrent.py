@@ -99,9 +99,7 @@ class ConvMguCell:
         if kernel_size % 2 == 0:
             raise ValueError("kernel size must be odd")
         cin, n, m = in_channels, hidden_channels, kernel_size
-        self.in_channels = cin
         self.hidden_channels = n
-        self.kernel_size = m
         self.w_f = _uniform(rng, (n, cin, m, m), cin * m * m)
         self.u_f = _uniform(rng, (n, n, m, m), n * m * m)
         self.b_f = zeros((n,), requires_grad=True)
@@ -119,18 +117,8 @@ class ConvMguCell:
         return zeros((self.hidden_channels, height, width))
 
     def step_with_gate(self, x, h_prev):
-        """One recurrence step; returns (h_t, f_t)."""
-        if x.data.ndim != 3 or h_prev.data.ndim != 3:
-            raise ValueError("cell inputs must be rank 3 (C, H, W)")
-        if x.data.shape[1:] != h_prev.data.shape[1:]:
-            raise ValueError(
-                f"spatial mismatch: x {x.data.shape[1:]} vs h {h_prev.data.shape[1:]}")
-        if x.data.shape[0] != self.in_channels:
-            raise ValueError(
-                f"x has {x.data.shape[0]} channels, cell expects {self.in_channels}")
-        if h_prev.data.shape[0] != self.hidden_channels:
-            raise ValueError(
-                f"h has {h_prev.data.shape[0]} channels, cell expects {self.hidden_channels}")
+        """One recurrence step; returns (h_t, f_t). The convs and ``mgu_forget``
+        reject mismatched input shapes with a ValueError."""
         f = mgu_forget(conv2d_same(x, self.w_f, self.b_f), conv2d_same(h_prev, self.u_f))
         gated_prev = hadamard(f, h_prev)
         h = mgu_update(f, conv2d_same(x, self.w_h, self.b_h),
@@ -147,14 +135,6 @@ class ConvMguStack2:
     def __init__(self, in_channels, hidden_channels, kernel_size, rng):
         self.layer1 = ConvMguCell(in_channels, hidden_channels, kernel_size, rng)
         self.layer2 = ConvMguCell(hidden_channels, hidden_channels, kernel_size, rng)
-
-    @property
-    def in_channels(self):
-        return self.layer1.in_channels
-
-    @property
-    def hidden_channels(self):
-        return self.layer2.hidden_channels
 
     def parameters(self):
         out = {}
@@ -194,18 +174,9 @@ class ConvMguBlock:
             raise ValueError("shortcut kernel size must be odd")
         self.stack = ConvMguStack2(in_channels, hidden_channels, kernel_size, rng)
         f = shortcut_kernel_size
-        self.shortcut_kernel_size = f
         self.shortcut_w = _uniform(
             rng, (hidden_channels, in_channels, f, f, f), in_channels * f ** 3)
         self.shortcut_b = zeros((hidden_channels,), requires_grad=True)
-
-    @property
-    def in_channels(self):
-        return self.stack.in_channels
-
-    @property
-    def hidden_channels(self):
-        return self.stack.hidden_channels
 
     @property
     def layer1(self):
@@ -227,12 +198,6 @@ class ConvMguBlock:
 
     def forward(self, frames):
         """Final-step output: stack state plus the last residual slice."""
-        if not frames:
-            raise ValueError("empty frame sequence")
-        if frames[0].data.shape[0] != self.in_channels:
-            raise ValueError(
-                f"frames have {frames[0].data.shape[0]} channels, "
-                f"block expects {self.in_channels}")
         h2 = self.stack.forward(frames)
         residual = self._residual(frames)
         return add(h2, time_slice(residual, len(frames) - 1))

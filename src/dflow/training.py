@@ -342,18 +342,20 @@ def save_checkpoint(run, path):
 
 
 def load_checkpoint(path):
-    """Rebuild a TrainRun (model, optimiser state, curve) from disk."""
+    """Rebuild a TrainRun (model, optimiser state, curve) from disk. A file
+    that ``save_checkpoint`` could not have written is a CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}; not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 16:
+        raise CheckpointError(f"truncated checkpoint: {len(blob)} bytes")
+    version, hlen = struct.unpack_from("<IQ", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
     try:
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"corrupt checkpoint header: {exc}")
     data_start = 16 + hlen
     if not isinstance(header, dict):
@@ -361,47 +363,67 @@ def load_checkpoint(path):
     for key in ("model_config", "train_config", "step", "curve", "tensors"):
         if key not in header:
             raise CheckpointError(f"checkpoint header lacks key {key!r}")
+    step, curve, directory = header["step"], header["curve"], header["tensors"]
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"checkpoint step must be an integer >= 0, got {step!r}")
+    if not (isinstance(curve, list)
+            and all(isinstance(record, list) and len(record) == 4 for record in curve)):
+        raise CheckpointError("checkpoint curve must be a list of 4-item records")
+    if not isinstance(directory, list):
+        raise CheckpointError("checkpoint tensors must be a list")
 
     model = build_dflow(_config_from(DFlowConfig, header, "model_config"), seed=0)
     config = _config_from(TrainConfig, header, "train_config")
-    run = TrainRun(model=model, config=config, step=header["step"])
-    run.curve = [CurveRecord(step=s, train_loss=t, val_loss=v, val_dice=d)
-                 for s, t, v, d in header["curve"]]
+    run = TrainRun(model=model, config=config, step=step)
+    run.curve = [CurveRecord(*record) for record in curve]
 
     params = model.parameters()
-    missing = set(params)
-    for entry in header["tensors"]:
-        try:
-            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"checkpoint tensor entry {entry!r} is malformed: {exc!r}")
-        count = int(np.prod(shape)) if shape else 1
-        start = data_start + offset
-        if start + count * 8 > len(blob):
+    entries = [_tensor_entry(entry, params) for entry in directory]
+    missing = set(params) - {key for _, kind, key, _ in entries if kind == "param."}
+    if missing:
+        raise CheckpointError(f"checkpoint lacks tensor param.{min(missing)}")
+    end = 0  # save_checkpoint writes the tensors back to back, in directory order
+    for name, kind, key, offset in entries:
+        if type(offset) is not int or offset != end:
+            raise CheckpointError(f"checkpoint tensor {name} has offset {offset!r}, "
+                                  f"expected {end}")
+        shape, count = params[key].data.shape, params[key].data.size
+        end += count * 8
+        if data_start + end > len(blob):
             raise CheckpointError(f"truncated checkpoint: tensor {name} out of range")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=data_start + offset)
         arr = arr.reshape(shape).astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
-        if name.startswith("param."):
-            key = name[len("param."):]
-            if key not in params:
-                raise CheckpointError(f"checkpoint tensor {name} unknown to this model")
-            if params[key].data.shape != arr.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name}: file {arr.shape}, "
-                    f"model {params[key].data.shape}")
+        if kind == "param.":
             params[key].data = arr
-            missing.discard(key)
-        elif name.startswith("adam.m."):
-            run.adam_m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            run.adam_v[name[len("adam.v."):]] = arr
         else:
-            raise CheckpointError(f"unknown tensor kind {name!r}")
-    if missing:
-        raise CheckpointError(f"checkpoint lacks tensor param.{min(missing)}")
+            (run.adam_m if kind == "adam.m." else run.adam_v)[key] = arr
     return run
+
+
+def _tensor_entry(entry, params):
+    """(name, kind, parameter name, offset) of one tensor directory entry whose
+    name and shape match a parameter of the model."""
+    try:
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint tensor entry {entry!r} is malformed: {exc!r}")
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise CheckpointError(f"checkpoint tensor entry {entry!r} needs a string name "
+                              f"and a list of sizes as shape")
+    kind = next((prefix for prefix in ("param.", "adam.m.", "adam.v.")
+                 if name.startswith(prefix)), None)
+    if kind is None:
+        raise CheckpointError(f"unknown tensor kind {name!r}")
+    key = name[len(kind):]
+    if key not in params:
+        raise CheckpointError(f"checkpoint tensor {name} unknown to this model")
+    if tuple(shape) != params[key].data.shape:
+        raise CheckpointError(f"shape mismatch for {name}: file {tuple(shape)}, "
+                              f"model {params[key].data.shape}")
+    return name, kind, key, offset
 
 
 def _config_from(cls, header, key):

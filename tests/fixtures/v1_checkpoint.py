@@ -81,8 +81,13 @@ def resume_block(run):
 def corrupt_copy(path, defect):
     """Write the v1 checkpoint to ``path`` with one defect: ``missing_tensor``,
     ``missing_step``, ``unknown_config_key``, ``entry_without_offset``,
-    ``list_header`` or ``nan_payload``."""
+    ``list_header``, ``nan_payload``, ``short_file``, ``curve_not_list``,
+    ``tensors_not_list``, ``three_item_curve_record``, ``string_step``,
+    ``string_shape``, ``float_offset`` or ``negative_offset``."""
     blob = CHECKPOINT.read_bytes()
+    if defect == "short_file":
+        path.write_bytes(blob[:10])
+        return path
     (hlen,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16:16 + hlen])
     payload = bytearray(blob[16 + hlen:])
@@ -99,6 +104,20 @@ def corrupt_copy(path, defect):
     elif defect == "nan_payload":
         entry = next(e for e in header["tensors"] if e["name"] == "adam.m.decoder.b")
         payload[entry["offset"]:entry["offset"] + 8] = struct.pack("<d", float("nan"))
+    elif defect == "curve_not_list":
+        header["curve"] = 5
+    elif defect == "tensors_not_list":
+        header["tensors"] = 5
+    elif defect == "three_item_curve_record":
+        header["curve"][0] = header["curve"][0][:3]
+    elif defect == "string_step":
+        header["step"] = "x"
+    elif defect == "string_shape":
+        header["tensors"][1]["shape"] = [str(n) for n in header["tensors"][1]["shape"]]
+    elif defect == "float_offset":
+        header["tensors"][1]["offset"] = float(header["tensors"][1]["offset"])
+    elif defect == "negative_offset":
+        header["tensors"][0]["offset"] = -8  # param.decoder.b
     else:
         raise ValueError(defect)
     text = json.dumps(header, sort_keys=True).encode("utf-8")

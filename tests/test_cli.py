@@ -199,7 +199,10 @@ class TestInferEval:
 
     @pytest.mark.parametrize("defect", ["missing_tensor", "missing_step", "unknown_config_key",
                                         "entry_without_offset", "list_header",
-                                        "nan_payload"])
+                                        "nan_payload", "short_file", "curve_not_list",
+                                        "tensors_not_list", "three_item_curve_record",
+                                        "string_step", "string_shape", "float_offset",
+                                        "negative_offset"])
     def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
                                                         capsys, defect):
         bad = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
@@ -208,6 +211,15 @@ class TestInferEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_empty_split_is_a_validation_error(self, dataset_dir, trained_dir, tmp_path,
+                                               capsys, command):
+        rc = main([command, "--checkpoint", str(trained_dir / "checkpoint.dflw"),
+                   "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
+                   "--split", "test"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: split 'test' is empty\n"
 
     def test_eval_emits_metrics_json(self, dataset_dir, trained_dir, tmp_path,
                                      capsys):
@@ -302,6 +314,23 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: config file does not parse: 'utf-8' codec")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--k", "0"], ["train", "--channels", "0"], ["train", "--colors", "rgb+xyz"],
+        ["baseline", "mean", "--window", "4"], ["baseline", "dtransform", "--dt-fraction", "1"],
+        ["synth", "--frames", "0"], ["synth", "--train", "0", "--val", "0"],
+        ["params", "--m", "2"], ["gradcheck", "--k", "0"], ["ablate", "--k", "0"],
+    ], ids=" ".join)
+    def test_value_a_config_type_rejects_writes_nothing(self, dataset_dir, tmp_path, capsys,
+                                                        argv):
+        if argv[0] in ("train", "baseline", "ablate"):
+            argv = [*argv, "--dataset", str(dataset_dir)]
+        if argv[0] != "gradcheck":
+            argv = [*argv, "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_flag(self, capsys):
         assert main(["params", "--bogus"]) == 1

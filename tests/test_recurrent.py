@@ -121,10 +121,19 @@ class TestConvMguStep:
 
     def test_rejects_mismatched_inputs(self):
         cell = make_cell(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            cell.step(zeros((3, 4, 4)), zeros((2, 5, 5)))  # spatial mismatch
-        with pytest.raises(ValueError):
-            cell.step(zeros((4, 4, 4)), zeros((2, 4, 4)))  # channel mismatch
+        for x_shape, h_shape in [
+            ((3, 4, 4), (2, 5, 5)),  # spatial mismatch
+            ((4, 4, 4), (2, 4, 4)),  # x channels
+            ((3, 4, 4), (3, 4, 4)),  # h_prev channels
+            ((4, 4), (2, 4, 4)), ((3, 4, 4), (4, 4)),  # rank 2
+            ((1, 3, 4, 4), (2, 4, 4)), ((3, 4, 4), (1, 2, 4, 4)),  # rank 4
+        ]:
+            with pytest.raises(ValueError):
+                cell.step(zeros(x_shape), zeros(h_shape))
+        block = ConvMguBlock(3, 2, 3, 3, np.random.default_rng(0))
+        for frames in ([], [zeros((4, 4, 4))] * 3):  # no frames, 4-channel frames
+            with pytest.raises(ValueError):
+                block.forward(frames)
 
     def test_gate_and_state_bounds(self):
         rng = np.random.default_rng(4)

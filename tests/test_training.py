@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dflow.tensor as tensor_mod
 import dflow.training as training_mod
@@ -24,6 +28,16 @@ from dflow.training import (
 )
 
 from fixtures import v1_checkpoint
+
+V1_BLOB = v1_checkpoint.CHECKPOINT.read_bytes()
+V1_HEADER_END = 16 + struct.unpack_from("<Q", V1_BLOB, 8)[0]
+
+
+def flipped(blob, index, mask):
+    """``blob`` with the byte at ``index`` XORed with ``mask``."""
+    out = bytearray(blob)
+    out[index] ^= mask
+    return bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +367,14 @@ class TestCheckpoints:
         ("entry_without_offset", "offset"),
         ("list_header", "not a JSON object"),
         ("nan_payload", "adam.m.decoder.b"),
+        ("short_file", "truncated"),
+        ("curve_not_list", "curve"),
+        ("tensors_not_list", "tensors"),
+        ("three_item_curve_record", "curve"),
+        ("string_step", "step"),
+        ("string_shape", "param.decoder.w"),
+        ("float_offset", "offset 8.0"),
+        ("negative_offset", "param.decoder.b"),
     ])
     def test_incomplete_or_corrupt_file_is_rejected(self, tmp_path, defect, named):
         path = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
@@ -366,6 +388,22 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.integers(0, len(V1_BLOB) - 1).map(lambda n: V1_BLOB[:n]),
+        st.tuples(st.one_of(st.integers(0, V1_HEADER_END - 1),
+                            st.integers(0, len(V1_BLOB) - 1)),
+                  st.integers(1, 255)).map(lambda flip: flipped(V1_BLOB, *flip))))
+    def test_truncated_or_flipped_file_loads_or_is_a_checkpoint_error(self, tmp_path,
+                                                                      blob):
+        path = tmp_path / "fuzzed.dflw"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
     def test_resume_equals_uninterrupted_run(self, tiny_dataset, tmp_path):
         config = tiny_config(steps=8)
