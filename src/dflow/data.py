@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -160,19 +160,7 @@ class DatasetManifest:
 
 def save_manifest(manifest, path=None):
     path = Path(path) if path else Path(manifest.root) / "manifest.json"
-    doc = {
-        "version": 1,
-        "sources": [
-            {
-                "id": s.id,
-                "frames": s.frames,
-                "labels": s.labels,
-                "split": s.split,
-                "metadata": s.metadata,
-            }
-            for s in manifest.sources
-        ],
-    }
+    doc = {"version": 1, "sources": [asdict(s) for s in manifest.sources]}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -212,7 +200,7 @@ def load_manifest(path):
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"manifest does not parse: {exc}")
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} is not a JSON object")

@@ -66,10 +66,6 @@ class DFlowConfig:
     def to_dict(self):
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d):
-        return DFlowConfig(**d)
-
 
 def frames_for_flow(frames_rgb, space):
     """Render a list of RGB ColorImages into one flow's input tensors."""

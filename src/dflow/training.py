@@ -8,6 +8,8 @@ non-finite loss) aborts immediately with a diagnostic rather than training on.
 Checkpoint format: magic ``DFLW``, little-endian u32 version, u64 header
 length, a JSON header (configs, step counter, curve records, tensor
 directory), then the tensors as raw little-endian float64 in directory order.
+A file loads only if its header is byte for byte the one ``save_checkpoint``
+writes for the run it describes and the tensors fill the rest of it exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -84,10 +87,6 @@ class TrainConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return TrainConfig(**d)
 
 
 @dataclass
@@ -293,29 +292,17 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4, h=1e-6):
 # --- persistence -----------------------------------------------------------------
 
 
-def _named_tensors(run):
-    """Checkpointed tensors in a deterministic order: parameters sorted by
-    name, then Adam moments."""
-    out = []
+def _header(run):
+    """The checkpoint header bytes and the (name, array) tensors in file order:
+    parameters sorted by name, then Adam moments. ``save_checkpoint`` writes
+    exactly these and ``load_checkpoint`` accepts only these."""
     params = run.model.parameters()
-    for name in sorted(params):
-        out.append((f"param.{name}", params[name].data))
-    for name in sorted(run.adam_m):
-        out.append((f"adam.m.{name}", run.adam_m[name]))
-    for name in sorted(run.adam_v):
-        out.append((f"adam.v.{name}", run.adam_v[name]))
-    return out
-
-def save_checkpoint(run, path):
-    """Serialise a TrainRun; the round trip is bit-exact for every tensor,
-    counter, and curve record. The file is written to ``<path>.tmp`` and
-    renamed over ``path``, so a failed write leaves any previous checkpoint
-    there intact."""
-    tensors = _named_tensors(run)
-    directory, offset = [], 0
-    for name, arr in tensors:
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
+    tensors = [(f"param.{name}", params[name].data) for name in sorted(params)]
+    tensors += [(f"adam.m.{name}", run.adam_m[name]) for name in sorted(run.adam_m)]
+    tensors += [(f"adam.v.{name}", run.adam_v[name]) for name in sorted(run.adam_v)]
+    offsets = accumulate((arr.size * 8 for _, arr in tensors), initial=0)
+    directory = [{"name": name, "shape": list(arr.shape), "offset": offset}
+                 for (name, arr), offset in zip(tensors, offsets)]
     header = {
         "model_config": run.model.config.to_dict(),
         "train_config": run.config.to_dict(),
@@ -323,7 +310,15 @@ def save_checkpoint(run, path):
         "curve": [[r.step, r.train_loss, r.val_loss, r.val_dice] for r in run.curve],
         "tensors": directory,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return json.dumps(header, sort_keys=True).encode("utf-8"), tensors
+
+
+def save_checkpoint(run, path):
+    """Serialise a TrainRun; the round trip is bit-exact for every tensor,
+    counter, and curve record. The file is written to ``<path>.tmp`` and
+    renamed over ``path``, so a failed write leaves any previous checkpoint
+    there intact."""
+    blob, tensors = _header(run)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -343,7 +338,9 @@ def save_checkpoint(run, path):
 
 def load_checkpoint(path):
     """Rebuild a TrainRun (model, optimiser state, curve) from disk. A file
-    that ``save_checkpoint`` could not have written is a CheckpointError."""
+    that ``save_checkpoint`` could not have written is a CheckpointError: the
+    header is rebuilt from the run it describes and must match byte for byte,
+    and the tensors must fill the rest of the file exactly."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -353,11 +350,11 @@ def load_checkpoint(path):
     version, hlen = struct.unpack_from("<IQ", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    stored = blob[16:16 + hlen]
     try:
-        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+        header = json.loads(stored.decode("utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"corrupt checkpoint header: {exc}")
-    data_start = 16 + hlen
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
     for key in ("model_config", "train_config", "step", "curve", "tensors"):
@@ -369,66 +366,53 @@ def load_checkpoint(path):
     if not (isinstance(curve, list)
             and all(isinstance(record, list) and len(record) == 4 for record in curve)):
         raise CheckpointError("checkpoint curve must be a list of 4-item records")
-    if not isinstance(directory, list):
-        raise CheckpointError("checkpoint tensors must be a list")
+    entries = directory if isinstance(directory, list) else [directory]
 
     model = build_dflow(_config_from(DFlowConfig, header, "model_config"), seed=0)
     config = _config_from(TrainConfig, header, "train_config")
     run = TrainRun(model=model, config=config, step=step)
     run.curve = [CurveRecord(*record) for record in curve]
+    if any(isinstance(e, dict) and str(e.get("name")).startswith("adam.") for e in entries):
+        run.adam_m = {name: np.zeros_like(p.data) for name, p in model.parameters().items()}
+        run.adam_v = {name: np.zeros_like(m) for name, m in run.adam_m.items()}
 
-    params = model.parameters()
-    entries = [_tensor_entry(entry, params) for entry in directory]
-    missing = set(params) - {key for _, kind, key, _ in entries if kind == "param."}
-    if missing:
-        raise CheckpointError(f"checkpoint lacks tensor param.{min(missing)}")
-    end = 0  # save_checkpoint writes the tensors back to back, in directory order
-    for name, kind, key, offset in entries:
-        if type(offset) is not int or offset != end:
-            raise CheckpointError(f"checkpoint tensor {name} has offset {offset!r}, "
-                                  f"expected {end}")
-        shape, count = params[key].data.shape, params[key].data.size
-        end += count * 8
-        if data_start + end > len(blob):
-            raise CheckpointError(f"truncated checkpoint: tensor {name} out of range")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=data_start + offset)
-        arr = arr.reshape(shape).astype(np.float64)
+    expected, tensors = _header(run)
+    if stored != expected:
+        raise _header_mismatch(entries, json.loads(expected)["tensors"])
+    end = 16 + hlen + sum(arr.size * 8 for _, arr in tensors)
+    if len(blob) != end:
+        raise CheckpointError(f"{'truncated' if len(blob) < end else 'oversized'} "
+                              f"checkpoint: {len(blob)} bytes, {end} expected")
+    for (name, arr), entry in zip(tensors, directory):
+        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
+                                 offset=16 + hlen + entry["offset"]).reshape(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
-        if kind == "param.":
-            params[key].data = arr
-        else:
-            (run.adam_m if kind == "adam.m." else run.adam_v)[key] = arr
     return run
 
 
-def _tensor_entry(entry, params):
-    """(name, kind, parameter name, offset) of one tensor directory entry whose
-    name and shape match a parameter of the model."""
-    try:
-        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"checkpoint tensor entry {entry!r} is malformed: {exc!r}")
-    if not (isinstance(name, str) and isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise CheckpointError(f"checkpoint tensor entry {entry!r} needs a string name "
-                              f"and a list of sizes as shape")
-    kind = next((prefix for prefix in ("param.", "adam.m.", "adam.v.")
-                 if name.startswith(prefix)), None)
-    if kind is None:
-        raise CheckpointError(f"unknown tensor kind {name!r}")
-    key = name[len(kind):]
-    if key not in params:
-        raise CheckpointError(f"checkpoint tensor {name} unknown to this model")
-    if tuple(shape) != params[key].data.shape:
-        raise CheckpointError(f"shape mismatch for {name}: file {tuple(shape)}, "
-                              f"model {params[key].data.shape}")
-    return name, kind, key, offset
+def _entry_text(entry):
+    if not isinstance(entry, dict):
+        return repr(entry)
+    return f"{entry.get('name')} shape {entry.get('shape')} offset {entry.get('offset')}"
+
+
+def _header_mismatch(stored, expected):
+    """The CheckpointError for a header that is not the one ``save_checkpoint``
+    writes: it names the first tensor directory entry that differs."""
+    pairs = zip_longest(map(_entry_text, stored), map(_entry_text, expected),
+                        fillvalue="no entry")
+    for index, (found, wanted) in enumerate(pairs):
+        if found != wanted:
+            return CheckpointError(f"checkpoint tensors[{index}] is {found} in the file, "
+                                   f"but save_checkpoint writes {wanted}")
+    return CheckpointError("checkpoint header differs from what save_checkpoint "
+                           "writes outside the tensor directory")
 
 
 def _config_from(cls, header, key):
     try:
-        return cls.from_dict(header[key])
+        return cls(**header[key])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {key} is invalid: {exc}")
 

@@ -83,7 +83,10 @@ def corrupt_copy(path, defect):
     ``missing_step``, ``unknown_config_key``, ``entry_without_offset``,
     ``list_header``, ``nan_payload``, ``short_file``, ``curve_not_list``,
     ``tensors_not_list``, ``three_item_curve_record``, ``string_step``,
-    ``string_shape``, ``float_offset`` or ``negative_offset``."""
+    ``string_shape``, ``float_offset``, ``negative_offset``,
+    ``missing_adam_moment``, ``duplicate_entry``, ``reordered_entries``,
+    ``extra_header_key`` or ``trailing_bytes``. The last five keep the
+    directory's offsets consistent with the payload."""
     blob = CHECKPOINT.read_bytes()
     if defect == "short_file":
         path.write_bytes(blob[:10])
@@ -118,6 +121,23 @@ def corrupt_copy(path, defect):
         header["tensors"][1]["offset"] = float(header["tensors"][1]["offset"])
     elif defect == "negative_offset":
         header["tensors"][0]["offset"] = -8  # param.decoder.b
+    elif defect in ("missing_adam_moment", "duplicate_entry", "reordered_entries"):
+        chunks = [(e, payload[e["offset"]:e["offset"] + 8 * int(np.prod(e["shape"]))])
+                  for e in header["tensors"]]
+        if defect == "missing_adam_moment":
+            chunks = [(e, b) for e, b in chunks if e["name"] != "adam.m.decoder.b"]
+        elif defect == "duplicate_entry":
+            chunks.append((chunks[0][0], struct.pack("<d", 123.0)))  # param.decoder.b
+        else:
+            chunks[0], chunks[1] = chunks[1], chunks[0]
+        header["tensors"], payload = [], bytearray()
+        for entry, chunk in chunks:
+            header["tensors"].append({**entry, "offset": len(payload)})
+            payload += chunk
+    elif defect == "extra_header_key":
+        header["note"] = "x"
+    elif defect == "trailing_bytes":
+        payload += bytes(8)
     else:
         raise ValueError(defect)
     text = json.dumps(header, sort_keys=True).encode("utf-8")

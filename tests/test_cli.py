@@ -4,12 +4,16 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
 
 from dflow.cli import main
 from dflow.data import read_pgm
 from dflow.training import load_checkpoint
 
 from fixtures import v1_checkpoint
+from fuzz import damaged, fuzz_settings
+
+PARAMS_CONFIG = json.dumps({"m": 3, "gamma": 3, "kappa": 4, "n": 4, "f": 3}).encode()
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +206,9 @@ class TestInferEval:
                                         "nan_payload", "short_file", "curve_not_list",
                                         "tensors_not_list", "three_item_curve_record",
                                         "string_step", "string_shape", "float_offset",
-                                        "negative_offset"])
+                                        "negative_offset", "missing_adam_moment",
+                                        "duplicate_entry", "reordered_entries",
+                                        "extra_header_key", "trailing_bytes"])
     def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
                                                         capsys, defect):
         bad = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
@@ -307,6 +313,17 @@ class TestGradcheckCommand:
 
 
 class TestValidationErrors:
+    @fuzz_settings
+    @given(damaged(PARAMS_CONFIG))
+    def test_truncated_or_flipped_config_runs_or_is_one_line(self, tmp_path, capsys,
+                                                             blob):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(blob)
+        rc = main(["params", "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert (rc, err) == (0, "") or (rc == 1 and err.startswith("error: ")
+                                        and err.count("\n") == 1), (rc, err)
+
     def test_config_file_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_bytes(b"P6\n2 2\n255\n\xb6\xff\x00\x81")

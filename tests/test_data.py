@@ -3,6 +3,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
 
 from dflow.color import ColorImage
 from dflow.data import (
@@ -23,6 +24,17 @@ from dflow.data import (
     write_pgm16,
     write_ppm,
 )
+
+from fuzz import damaged, fuzz_settings
+
+PPM_BLOB = b"P6\n# fuzzed\n3 2\n255\n" + bytes(range(0, 180, 10))
+PGM16_BLOB = b"P5\n2 3\n65535\n" + np.arange(0, 60000, 10000, dtype=">u2").tobytes()
+MANIFEST_FILES = ["f0.ppm", "f1.ppm", "l0.pgm", "l1.pgm"]
+MANIFEST_BLOB = (json.dumps({"version": 1, "sources": [
+    {"id": "s0", "frames": ["f0.ppm", "f1.ppm"], "labels": ["l0.pgm", "l1.pgm"],
+     "split": "train", "metadata": {"seed": 3}},
+    {"id": "s1", "frames": ["f1.ppm"], "labels": ["l1.pgm"], "split": "val"},
+]}, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestNetpbm:
@@ -81,6 +93,17 @@ class TestNetpbm:
         with pytest.raises(ValueError, match="short.pnm"):
             reader(path)
 
+    @fuzz_settings
+    @given(damaged(PPM_BLOB), damaged(PGM16_BLOB))
+    def test_truncated_or_flipped_file_reads_or_is_a_value_error(self, tmp_path, ppm, pgm):
+        for reader, blob in ((read_ppm, ppm), (read_pgm, pgm)):
+            path = tmp_path / "fuzzed.pnm"
+            path.write_bytes(blob)
+            try:
+                reader(path)
+            except ValueError:
+                pass
+
 
 class TestManifest:
     def test_empty_manifest_is_valid(self, tmp_path):
@@ -111,10 +134,23 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(tmp_path)
 
-    def test_unparseable_manifest(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(ManifestError, match="parse"):
+    @fuzz_settings
+    @given(damaged(MANIFEST_BLOB))
+    def test_truncated_or_flipped_manifest_loads_or_is_a_manifest_error(self, tmp_path,
+                                                                         blob):
+        for name in MANIFEST_FILES:
+            (tmp_path / name).touch()
+        (tmp_path / "manifest.json").write_bytes(blob)
+        try:
             load_manifest(tmp_path)
+        except ManifestError:
+            pass
+
+    def test_unparseable_manifest(self, tmp_path):
+        for blob in (b"{not json", b"\xff"):
+            (tmp_path / "manifest.json").write_bytes(blob)
+            with pytest.raises(ManifestError, match="parse"):
+                load_manifest(tmp_path)
 
     @pytest.mark.parametrize("key", ["id", "frames", "labels", "split"])
     def test_source_without_a_key_is_named(self, tmp_path, key):

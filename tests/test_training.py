@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dflow.tensor as tensor_mod
@@ -28,16 +28,10 @@ from dflow.training import (
 )
 
 from fixtures import v1_checkpoint
+from fuzz import damaged, fuzz_settings
 
 V1_BLOB = v1_checkpoint.CHECKPOINT.read_bytes()
 V1_HEADER_END = 16 + struct.unpack_from("<Q", V1_BLOB, 8)[0]
-
-
-def flipped(blob, index, mask):
-    """``blob`` with the byte at ``index`` XORed with ``mask``."""
-    out = bytearray(blob)
-    out[index] ^= mask
-    return bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +369,11 @@ class TestCheckpoints:
         ("string_shape", "param.decoder.w"),
         ("float_offset", "offset 8.0"),
         ("negative_offset", "param.decoder.b"),
+        ("missing_adam_moment", "writes adam.m.decoder.b"),
+        ("duplicate_entry", "writes no entry"),
+        ("reordered_entries", "is param.decoder.w"),
+        ("extra_header_key", "outside the tensor directory"),
+        ("trailing_bytes", "oversized"),
     ])
     def test_incomplete_or_corrupt_file_is_rejected(self, tmp_path, defect, named):
         path = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
@@ -389,13 +388,9 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.one_of(
-        st.integers(0, len(V1_BLOB) - 1).map(lambda n: V1_BLOB[:n]),
-        st.tuples(st.one_of(st.integers(0, V1_HEADER_END - 1),
-                            st.integers(0, len(V1_BLOB) - 1)),
-                  st.integers(1, 255)).map(lambda flip: flipped(V1_BLOB, *flip))))
+    @settings(fuzz_settings, max_examples=300)
+    @given(damaged(V1_BLOB, index=st.one_of(st.integers(0, V1_HEADER_END - 1),
+                                            st.integers(0, len(V1_BLOB) - 1))))
     def test_truncated_or_flipped_file_loads_or_is_a_checkpoint_error(self, tmp_path,
                                                                       blob):
         path = tmp_path / "fuzzed.dflw"
