@@ -17,9 +17,16 @@ the innermost active :class:`GradTape` (one per training context, tracked
 per thread). Gradients accumulate additively when a tensor feeds several
 consumers, in tape order, so replaying the same tape is bit-reproducible.
 
+The tape holds nodes, not tensors: a parameter is its own node, and an op
+output recorded under a tape gets a fresh data-free :class:`_Node`. Each
+vjp closes over only the arrays it reads (an activation's output, a
+product's other factor, a conv's unpadded input and kernel), so an
+intermediate that no vjp reads is freed as soon as the forward drops it.
+
 branches runs independent functions (the model's colour flows) at the same
 time: the first on the calling thread, the rest on a pool with one worker
-per usable CPU beyond the first. Each branch records to its own sub-tape and
+per usable CPU beyond the first (a forked child starts a fresh pool, as it
+has none of its parent's threads). Each branch records to its own sub-tape and
 backward replays the sub-tapes concurrently too. A branch owns every running
 gradient sum its sub-tape touches while it replays, so each sum is added up
 in the order a sequential replay uses, and the bits do not depend on the
@@ -73,18 +80,19 @@ class Tensor:
     preserves its input dtype.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_track")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         if arr.ndim > _MAX_RANK:
             raise ValueError(f"rank {arr.ndim} exceeds the supported maximum of {_MAX_RANK}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._track = self.requires_grad
+        # tape identity: None untracked, itself for a parameter, else an _Node
+        self._node = self if self.requires_grad else None
 
     @property
     def shape(self):
@@ -118,6 +126,12 @@ def _tape_stack():
     return stack
 
 
+class _Node:
+    """The tape identity of a recorded op output; it holds no data."""
+
+    __slots__ = ()
+
+
 class GradTape:
     """Ordered record of executed primitives, replayed in reverse by :func:`backward`.
 
@@ -148,12 +162,12 @@ class GradTape:
 
 class _Branches:
     """One tape entry for a :func:`branches` call: its sub-tapes, and for each
-    the ids of the tracked tensors its records read or produce."""
+    the ids of the nodes its records read or produce."""
 
     def __init__(self, tapes):
         self.tapes = tapes
-        self.touched = [{id(t) for out, inputs, _ in _leaves(tape._records)
-                         for t in (out, *inputs) if t._track} for tape in tapes]
+        self.touched = [{id(n) for out, inputs, _ in _leaves(tape._records)
+                         for n in (out, *inputs) if n is not None} for tape in tapes]
         if len(set().union(*self.touched)) != sum(map(len, self.touched)):
             raise ValueError("branches must not share a tracked input")
 
@@ -175,9 +189,10 @@ def _record(out, inputs, vjp):
     stack = _tape_stack()
     if not stack:
         return
-    if any(t._track for t in inputs):
-        out._track = True
-        stack[-1]._records.append((out, inputs, vjp))
+    nodes = tuple([t._node for t in inputs])
+    if any(n is not None for n in nodes):
+        out._node = _Node()
+        stack[-1]._records.append((out._node, nodes, vjp))
 
 
 def backward(tape, loss):
@@ -191,9 +206,10 @@ def backward(tape, loss):
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if not tape._records:
         raise ValueError("cannot backpropagate through an empty tape")
-    if not any(out is loss for out, _, _ in _leaves(tape._records)):
+    node = loss._node
+    if not any(out is node for out, _, _ in _leaves(tape._records)):
         raise ValueError("loss was not produced under this tape")
-    grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
+    grads = {id(node): np.ones((), dtype=loss.data.dtype)}
     trainable = {}
     _replay(tape._records, grads, trainable)
     for t in trainable.values():
@@ -202,29 +218,29 @@ def backward(tape, loss):
 
 
 def _replay(records, grads, trainable):
-    """Run ``records``' vjps in reverse, summing into ``grads`` (id -> running
-    sum) and collecting the trainable inputs into ``trainable``."""
+    """Run ``records``' vjps in reverse, summing into ``grads`` (node id ->
+    running sum) and collecting the trainable inputs into ``trainable``."""
     for rec in reversed(records):
         if isinstance(rec, _Branches):
             _replay_branches(rec, grads, trainable)
             continue
         out, inputs, vjp = rec
-        for t in inputs:
-            if t.requires_grad and id(t) not in trainable:
-                trainable[id(t)] = t
+        for n in inputs:
+            if isinstance(n, Tensor) and id(n) not in trainable:
+                trainable[id(n)] = n
         g = grads.pop(id(out), None)
         if g is None:
             continue
-        for t, ig in zip(inputs, vjp(g)):
-            if ig is None or not t._track:
+        for n, ig in zip(inputs, vjp(g)):
+            if ig is None or n is None:
                 continue
-            acc = grads.get(id(t))
-            grads[id(t)] = ig if acc is None else acc + ig
+            acc = grads.get(id(n))
+            grads[id(n)] = ig if acc is None else acc + ig
 
 
 def _replay_branches(entry, grads, trainable):
-    # Each sub-tape takes over the running sums of the tensors it touches and
-    # hands them back afterwards: no two sub-tapes touch the same tensor, so
+    # Each sub-tape takes over the running sums of the nodes it touches and
+    # hands them back afterwards: no two sub-tapes touch the same node, so
     # every sum grows in the order a sequential replay would add it up.
     owned = [{i: grads.pop(i) for i in touched if i in grads} for touched in entry.touched]
     found = [{} for _ in entry.tapes]
@@ -239,11 +255,22 @@ def _replay_branches(entry, grads, trainable):
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-# one worker per usable CPU beyond the first; its threads start on first use
-# and mark themselves as workers
-_POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="dflow-branch",
-                           initializer=setattr, initargs=(_TLS, "worker", True)) \
-    if _CPUS > 1 else None
+
+
+def _start_pool():
+    """Create the branch pool: one worker per usable CPU beyond the first, or
+    none. Its threads start on first use and mark themselves as workers. A
+    forked child runs this again: it has none of its parent's threads, so a
+    pool whose workers had started would queue work that nothing runs."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="dflow-branch",
+                               initializer=setattr, initargs=(_TLS, "worker", True)) \
+        if _CPUS > 1 else None
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _run_all(calls):
@@ -430,9 +457,10 @@ def power(a, exponent):
 def sum_all(a):
     """Sum of all entries, as a rank-0 tensor."""
     out = Tensor(a.data.sum())
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        return (np.full_like(a.data, float(g)),)
+        return (np.full(shape, float(g), dtype),)
 
     _record(out, (a,), vjp)
     return out
@@ -442,9 +470,10 @@ def mean_all(a):
     """Mean of all entries, as a rank-0 tensor."""
     n = a.data.size
     out = Tensor(a.data.sum() / n)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        return (np.full_like(a.data, float(g) / n),)
+        return (np.full(shape, float(g) / n, dtype),)
 
     _record(out, (a,), vjp)
     return out
@@ -458,9 +487,10 @@ def time_slice(a, t):
     if not 0 <= t < ad.shape[1]:
         raise ValueError(f"time index {t} out of range for T={ad.shape[1]}")
     out = Tensor(ad[:, t].copy())
+    shape, dtype = ad.shape, ad.dtype
 
     def vjp(g):
-        full = np.zeros_like(ad)
+        full = np.zeros(shape, dtype)
         full[:, t] = g
         return (full,)
 
@@ -491,13 +521,12 @@ def mgu_update(f, c1, c2, h_prev):
         _require_same_shape(f, t, "mgu_update")
     fd, hd = f.data, h_prev.data
     cand = np.tanh(c1.data + c2.data)
-    omf = 1.0 - fd
-    out = Tensor(omf * hd + fd * cand)
-    need_h = h_prev._track  # a constant initial state needs no gradient
+    out = Tensor((1.0 - fd) * hd + fd * cand)
+    need_h = h_prev._node is not None  # a constant initial state needs no gradient
 
     def vjp(g):
         gc = (g * fd) * _d_tanh(cand)
-        gh = g * omf if need_h else None
+        gh = g * (1.0 - fd) if need_h else None
         return (g * cand + -(g * hd), gc, gc, gh)
 
     _record(out, (f, c1, c2, h_prev), vjp)
@@ -548,11 +577,10 @@ def _im2col(xp, m):
 
 
 def _conv_forward(xd, kd):
-    """Unbiased same-padded conv; returns the output and the padded input."""
+    """Unbiased same-padded conv of a (cin, ...) array."""
     cout, m = kd.shape[0], kd.shape[-1]
-    xp = _pad(xd, m)
-    y = kd.reshape(cout, -1) @ _im2col(xp, m)
-    return y.reshape(cout, *xd.shape[1:]), xp
+    y = kd.reshape(cout, -1) @ _im2col(_pad(xd, m), m)
+    return y.reshape(cout, *xd.shape[1:])
 
 
 def _flip_kernel(kd):
@@ -567,12 +595,12 @@ def _flip_kernel(kd):
 def _conv_same(x, kernel, bias, nd):
     xd, kd = x.data, kernel.data
     _check_conv(xd, kd, bias, nd)
-    y, xp = _conv_forward(xd, kd)
+    y = _conv_forward(xd, kd)
     if bias is not None:
         y = y + bias.data.reshape(-1, *(1,) * nd)
     out = Tensor(y)
     cout, m = kd.shape[0], kd.shape[-1]
-    need_x, need_k = x._track, kernel._track
+    need_x, need_k = x._node is not None, kernel._node is not None
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def vjp(g):
@@ -580,10 +608,10 @@ def _conv_same(x, kernel, bias, nd):
         if need_k:
             # the same bits as g2d @ cols.T, faster with the large cols untransposed;
             # the small transposed product is copied to C order for the optimiser
-            gk = np.ascontiguousarray((_im2col(xp, m) @ g.reshape(cout, -1).T).T)
+            gk = np.ascontiguousarray((_im2col(_pad(xd, m), m) @ g.reshape(cout, -1).T).T)
             gk = gk.reshape(kd.shape)
         if need_x:
-            gx = _conv_forward(g, _flip_kernel(kd))[0]
+            gx = _conv_forward(g, _flip_kernel(kd))
         if bias is None:
             return (gx, gk)
         return (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))

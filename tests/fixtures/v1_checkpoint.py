@@ -84,9 +84,10 @@ def corrupt_copy(path, defect):
     ``list_header``, ``nan_payload``, ``short_file``, ``curve_not_list``,
     ``tensors_not_list``, ``three_item_curve_record``, ``string_step``,
     ``string_shape``, ``float_offset``, ``negative_offset``,
-    ``missing_adam_moment``, ``duplicate_entry``, ``reordered_entries``,
-    ``extra_header_key`` or ``trailing_bytes``. The last five keep the
-    directory's offsets consistent with the payload."""
+    ``float_channels``, ``bool_k``, ``missing_adam_moment``,
+    ``duplicate_entry``, ``reordered_entries``, ``extra_header_key`` or
+    ``trailing_bytes``. The last five keep the directory's offsets
+    consistent with the payload."""
     blob = CHECKPOINT.read_bytes()
     if defect == "short_file":
         path.write_bytes(blob[:10])
@@ -119,6 +120,10 @@ def corrupt_copy(path, defect):
         header["tensors"][1]["shape"] = [str(n) for n in header["tensors"][1]["shape"]]
     elif defect == "float_offset":
         header["tensors"][1]["offset"] = float(header["tensors"][1]["offset"])
+    elif defect == "float_channels":
+        header["model_config"]["channels"] = 2.0
+    elif defect == "bool_k":
+        header["model_config"]["k"] = True
     elif defect == "negative_offset":
         header["tensors"][0]["offset"] = -8  # param.decoder.b
     elif defect in ("missing_adam_moment", "duplicate_entry", "reordered_entries"):

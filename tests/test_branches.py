@@ -8,6 +8,7 @@ parameter gradient, also when a batch reuses each flow's parameters.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -238,3 +239,23 @@ def test_one_cpu_training_writes_the_same_checkpoint(tmp_path):
                "--seed", "4", "--k", "2", "--channels", "4", "--steps", "3"], single)
         checkpoints.append((out / "checkpoint.dflw").read_bytes())
     assert checkpoints[0] == checkpoints[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_branches():
+    """A child forked after the pool's threads have started has none of them;
+    its branches must run on a fresh pool instead of waiting forever. The
+    child is killed by SIGALRM if it hangs."""
+    model = build_dflow(DFlowConfig(channels=2, k=2), seed=0)
+    (frames, _), = windows(np.random.default_rng(0), 1, 2, 8)
+    want = model.forward_window(frames).data  # starts the pool's threads
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            signal.alarm(30)
+            code = 0 if np.array_equal(model.forward_window(frames).data, want) else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -206,7 +206,8 @@ class TestInferEval:
                                         "nan_payload", "short_file", "curve_not_list",
                                         "tensors_not_list", "three_item_curve_record",
                                         "string_step", "string_shape", "float_offset",
-                                        "negative_offset", "missing_adam_moment",
+                                        "negative_offset", "float_channels", "bool_k",
+                                        "missing_adam_moment",
                                         "duplicate_entry", "reordered_entries",
                                         "extra_header_key", "trailing_bytes"])
     def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +14,7 @@ from dflow.network import (
     frames_for_flow,
 )
 from dflow.recurrent import count_actual_params
-from dflow.tensor import GradTape, backward
+from dflow.tensor import GradTape, Tensor, _leaves, _Node, backward
 
 from oracles import cell_weight_arrays, finite_difference, rel_err, stack2_naive
 
@@ -213,3 +215,52 @@ class TestTapeRecords:
         with GradTape() as tape:
             loss(model.forward_window(rand_frames(rng, 5)), label)
         assert len(tape) == records
+
+
+def _closure_objects(fn):
+    """Every object ``fn``'s closure holds, through nested closures."""
+    for cell in fn.__closure__ or ():
+        obj = cell.cell_contents
+        yield obj
+        if callable(obj) and hasattr(obj, "__closure__"):
+            yield from _closure_objects(obj)
+
+
+class TestTapeMemory:
+    """The tape keeps only what backward reads: records hold data-free nodes,
+    and each vjp closes over arrays, never over an intermediate tensor, so an
+    op output that no vjp reads is freed once the forward drops it."""
+
+    def window(self, rng, use_block=False):
+        model = build_dflow(tiny_config(channels=PRESET_CHANNELS["small"], k=4,
+                                        use_block=use_block), seed=0)
+        label = (rng.uniform(size=(1, 32, 32)) > 0.5).astype(np.float64)
+        return model, rand_frames(rng, 5, side=32), label
+
+    @pytest.mark.parametrize("use_block, loss, count", [
+        (False, bce_loss, 144),
+        (True, focal_loss, 150),
+    ], ids=["desk_bce", "block_focal"])
+    def test_records_refer_to_no_tensor_but_parameters(self, use_block, loss, count):
+        model, frames, label = self.window(np.random.default_rng(0), use_block)
+        params = {id(p) for p in model.parameters().values()}
+        with GradTape() as tape:
+            loss(model.forward_window(frames), label)
+        records = list(_leaves(tape._records))
+        assert len(records) == count
+        for out, inputs, vjp in records:
+            assert type(out) is _Node
+            for obj in (*inputs, *_closure_objects(vjp)):
+                assert not isinstance(obj, Tensor) or id(obj) in params
+
+    def test_held_memory_of_a_desk_window_is_bounded(self):
+        model, frames, label = self.window(np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss = bce_loss(model.forward_window(frames), label)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 144 and loss.data.shape == ()
+        assert held <= 14 * 2 ** 20

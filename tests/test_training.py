@@ -369,6 +369,8 @@ class TestCheckpoints:
         ("string_shape", "param.decoder.w"),
         ("float_offset", "offset 8.0"),
         ("negative_offset", "param.decoder.b"),
+        ("float_channels", "channels must be int, got 2.0"),
+        ("bool_k", "k must be int, got True"),
         ("missing_adam_moment", "writes adam.m.decoder.b"),
         ("duplicate_entry", "writes no entry"),
         ("reordered_entries", "is param.decoder.w"),
