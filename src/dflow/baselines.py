@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_fields
+
 __all__ = [
     "ThresholdParams",
     "adaptive_threshold_mean",
@@ -33,6 +35,7 @@ class ThresholdParams:
     dt_fraction: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
         if not 0.0 < self.dt_fraction < 1.0:

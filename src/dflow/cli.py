@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, data, network, recurrent, training
+from ._fields import check_value
 from .color import ColorImage, extract_y, rgb_to_yuv
 
 __all__ = ["main"]
@@ -158,20 +159,13 @@ def _build_parser():
 
 
 def _check_config_value(key, value, action):
-    """A --config value must have the type its flag parses to (a bool is not
-    an int, an int is a valid float, null and non-finite numbers are never
-    valid) and be one of the flag's choices."""
-    if action.nargs == 0:
-        ok, kind = isinstance(value, bool), "true or false"
-    elif action.type is int:
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif action.type is _number:
-        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-        ok, kind = finite and not isinstance(value, bool), "a number"
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if not ok:
-        raise CliError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    """A --config value must fit the type its flag parses to, by the one type
+    rule of every config (null is never valid), and be one of its choices."""
+    kind = "bool" if action.nargs == 0 else {int: "int", _number: "float"}.get(action.type, "str")
+    try:
+        check_value(f"config key {key!r}", value, kind)
+    except ValueError as exc:
+        raise CliError(str(exc))
     if action.choices is not None and value not in action.choices:
         raise CliError(f"config key {key!r} must be one of {sorted(action.choices)}, "
                        f"got {json.dumps(value)}")
@@ -244,7 +238,7 @@ def _load_run(args):
     run = training.load_checkpoint(args.checkpoint)
     windows = _load_dataset(args.dataset, run.model.config.k)[args.split]
     if not windows:
-        raise CliError(f"split {args.split!r} is empty")
+        raise ValueError(f"split {args.split!r} is empty")
     return run, windows
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import check_fields
 from .color import ColorImage
 
 __all__ = [
@@ -305,6 +306,7 @@ class SynthSceneParams:
     motion_amplitude: float = 0.12   # fraction of image size the centre sweeps
 
     def __post_init__(self):
+        check_fields(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
         for name in ("brightness_drift", "flicker_rate", "noise_level",

@@ -11,11 +11,12 @@ forward and backward, with bits that do not depend on the number of CPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
 
+from ._fields import check_fields
 from .color import extract_y, rgb_to_hsv, rgb_to_yuv
 from .recurrent import ConvMguBlock, ConvMguStack2, _uniform, count_actual_params
 from .tensor import Tensor, add, branches, conv2d_same, sigmoid, zeros
@@ -34,10 +35,6 @@ SPACE_CHANNELS = {"rgb": 3, "yuv": 3, "hsv": 3, "y": 1}
 # feature-map widths of the two shipped presets
 PRESET_CHANNELS = {"small": 16, "base": 40}
 
-# DFlowConfig field annotation -> the one type its values may have: a bool
-# is not a size and a float is not a count
-_EXACT_TYPES = {"int": int, "bool": bool}
-
 
 @dataclass(frozen=True)
 class DFlowConfig:
@@ -51,11 +48,7 @@ class DFlowConfig:
     decoder_kernel_size: int = 3
 
     def __post_init__(self):
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            want = _EXACT_TYPES.get(spec.type)
-            if want is not None and type(value) is not want:
-                raise ValueError(f"{spec.name} must be {spec.type}, got {value!r}")
+        check_fields(self)
         spaces = [self.flow_a_space] + ([self.flow_b_space] if self.dual_flow else [])
         for space in spaces:
             if space not in SPACE_CHANNELS:

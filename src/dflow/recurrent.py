@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_fields
 from .tensor import (
     Tensor,
     add,
@@ -56,9 +57,10 @@ class UnitHyperparams:
     f: int = 3
 
     def __post_init__(self):
+        check_fields(self)
         for field in ("m", "gamma", "kappa", "n", "f"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value <= 0:
+            if value <= 0:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
         if self.m % 2 == 0 or self.f % 2 == 0:
             raise ValueError("kernel sizes m and f must be odd")

@@ -49,16 +49,9 @@ __all__ = [
     "branches",
     "zeros",
     "sigmoid",
-    "tanh",
     "add",
-    "sub_from_one",
     "hadamard",
     "scale",
-    "log",
-    "clamp",
-    "power",
-    "sum_all",
-    "mean_all",
     "time_slice",
     "mgu_forget",
     "mgu_update",
@@ -82,8 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         if arr.ndim > _MAX_RANK:
@@ -351,18 +344,6 @@ def sigmoid(a):
     return out
 
 
-def tanh(a):
-    """Hyperbolic tangent, elementwise; maps into (-1, 1)."""
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def vjp(g):
-        return (g * _d_tanh(y),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
 def add(a, b):
     """Elementwise sum; shapes must match exactly (no broadcasting)."""
     _require_same_shape(a, b, "add")
@@ -372,17 +353,6 @@ def add(a, b):
         return (g, g)
 
     _record(out, (a, b), vjp)
-    return out
-
-
-def sub_from_one(a):
-    """1 - x elementwise (the gate complement in a convex combination)."""
-    out = Tensor(1.0 - a.data)
-
-    def vjp(g):
-        return (-g,)
-
-    _record(out, (a,), vjp)
     return out
 
 
@@ -406,74 +376,6 @@ def scale(a, c):
 
     def vjp(g):
         return (g * c,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def log(a):
-    """Natural logarithm; caller is responsible for keeping values positive."""
-    ad = a.data
-    out = Tensor(np.log(ad))
-
-    def vjp(g):
-        return (g / ad,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def clamp(a, lo, hi):
-    """Clip into [lo, hi]; gradient is zero where the clip is active."""
-    ad = a.data
-    out = Tensor(np.clip(ad, lo, hi))
-    interior = (ad > lo) & (ad < hi)
-
-    def vjp(g):
-        return (g * interior,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def power(a, exponent):
-    """x**p for a constant real exponent p >= 0 (values must be non-negative
-    when p is fractional)."""
-    p = float(exponent)
-    if p < 0:
-        raise ValueError("exponent must be non-negative")
-    ad = a.data
-    out = Tensor(ad ** p)
-
-    def vjp(g):
-        if p == 0.0:
-            return (np.zeros_like(ad),)
-        return (g * p * ad ** (p - 1.0),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def sum_all(a):
-    """Sum of all entries, as a rank-0 tensor."""
-    out = Tensor(a.data.sum())
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def vjp(g):
-        return (np.full(shape, float(g), dtype),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def mean_all(a):
-    """Mean of all entries, as a rank-0 tensor."""
-    n = a.data.size
-    out = Tensor(a.data.sum() / n)
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def vjp(g):
-        return (np.full(shape, float(g) / n, dtype),)
 
     _record(out, (a,), vjp)
     return out

@@ -18,11 +18,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from itertools import accumulate, zip_longest
 
 import numpy as np
 
+from ._fields import check_fields
 from .losses import bce_loss, dice_coefficient, focal_loss, silhouette_score
 from .network import DFlowConfig, build_dflow
 from .tensor import GradTape, add, backward, scale
@@ -72,14 +73,11 @@ class TrainConfig:
     eval_interval: int = 50
 
     def __post_init__(self):
+        check_fields(self)
         if self.loss not in ("bce", "focal"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.lr < 0.0:
             raise ValueError("lr must be >= 0")
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
@@ -93,8 +91,11 @@ class TrainConfig:
 class CurveRecord:
     step: int
     train_loss: float
-    val_loss: float | None = None
-    val_dice: float | None = None
+    val_loss: float | None
+    val_dice: float | None
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -185,10 +186,10 @@ def _train_loop(run, data):
                 v_hat = v / (1.0 - b2 ** step)
                 p.data -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        record = CurveRecord(step=step, train_loss=loss_value)
+        val_loss = val_dice = None
         if val_windows and (step % config.eval_interval == 0 or step == config.steps):
-            record.val_loss, record.val_dice = _val_metrics(run.model, val_windows, loss_fn)
-        run.curve.append(record)
+            val_loss, val_dice = _val_metrics(run.model, val_windows, loss_fn)
+        run.curve.append(CurveRecord(step, loss_value, val_loss, val_dice))
         run.step = step
     return run
 
@@ -363,15 +364,15 @@ def load_checkpoint(path):
     step, curve, directory = header["step"], header["curve"], header["tensors"]
     if type(step) is not int or step < 0:
         raise CheckpointError(f"checkpoint step must be an integer >= 0, got {step!r}")
-    if not (isinstance(curve, list)
-            and all(isinstance(record, list) and len(record) == 4 for record in curve)):
-        raise CheckpointError("checkpoint curve must be a list of 4-item records")
     entries = directory if isinstance(directory, list) else [directory]
 
     model = build_dflow(_config_from(DFlowConfig, header, "model_config"), seed=0)
     config = _config_from(TrainConfig, header, "train_config")
     run = TrainRun(model=model, config=config, step=step)
-    run.curve = [CurveRecord(*record) for record in curve]
+    try:
+        run.curve = [CurveRecord(*record) for record in curve]
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint curve is invalid: {exc}")
     if any(isinstance(e, dict) and str(e.get("name")).startswith("adam.") for e in entries):
         run.adam_m = {name: np.zeros_like(p.data) for name, p in model.parameters().items()}
         run.adam_v = {name: np.zeros_like(m) for name, m in run.adam_m.items()}

@@ -84,7 +84,9 @@ def corrupt_copy(path, defect):
     ``list_header``, ``nan_payload``, ``short_file``, ``curve_not_list``,
     ``tensors_not_list``, ``three_item_curve_record``, ``string_step``,
     ``string_shape``, ``float_offset``, ``negative_offset``,
-    ``float_channels``, ``bool_k``, ``missing_adam_moment``,
+    ``float_channels``, ``bool_k``, ``float_batch_size``, ``fractional_seed``,
+    ``string_focal_alpha``, ``bool_eval_interval``, ``bool_lr``,
+    ``string_curve_loss``, ``fractional_curve_step``, ``missing_adam_moment``,
     ``duplicate_entry``, ``reordered_entries``, ``extra_header_key`` or
     ``trailing_bytes``. The last five keep the directory's offsets
     consistent with the payload."""
@@ -124,6 +126,20 @@ def corrupt_copy(path, defect):
         header["model_config"]["channels"] = 2.0
     elif defect == "bool_k":
         header["model_config"]["k"] = True
+    elif defect == "float_batch_size":
+        header["train_config"]["batch_size"] = 1.0
+    elif defect == "fractional_seed":
+        header["train_config"]["seed"] = 0.5
+    elif defect == "string_focal_alpha":
+        header["train_config"].update(loss="focal", focal_alpha="x")
+    elif defect == "bool_eval_interval":
+        header["train_config"]["eval_interval"] = True
+    elif defect == "bool_lr":
+        header["train_config"]["lr"] = True
+    elif defect == "string_curve_loss":
+        header["curve"][0] = [1, "x", None, None]
+    elif defect == "fractional_curve_step":
+        header["curve"][0][0] = 1.5
     elif defect == "negative_offset":
         header["tensors"][0]["offset"] = -8  # param.decoder.b
     elif defect in ("missing_adam_moment", "duplicate_entry", "reordered_entries"):

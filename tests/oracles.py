@@ -7,20 +7,7 @@ formulas) and must stay independent of the implementations it checks.
 import numpy as np
 
 from dflow.network import frames_for_flow
-from dflow.tensor import (
-    Tensor,
-    add,
-    clamp,
-    conv2d_same,
-    hadamard,
-    log,
-    mean_all,
-    power,
-    scale,
-    sigmoid,
-    sub_from_one,
-    tanh,
-)
+from dflow.tensor import Tensor, _record, add, conv2d_same, hadamard, scale, sigmoid
 
 
 def conv2d_naive(x, k, b=None):
@@ -160,6 +147,102 @@ def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
         s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
         scores.append(s)
     return float(np.concatenate(scores).mean())
+
+
+# --- tape primitives that only the chains and the tests use ---------------------
+# Each records one op on the active tape through ``dflow.tensor._record``, like
+# the library's own primitives.
+
+
+def tanh(a):
+    """Hyperbolic tangent, elementwise; maps into (-1, 1)."""
+    y = np.tanh(a.data)
+    out = Tensor(y)
+
+    def vjp(g):
+        return (g * (1.0 - y * y),)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def sub_from_one(a):
+    """1 - x elementwise (the gate complement in a convex combination)."""
+    out = Tensor(1.0 - a.data)
+
+    def vjp(g):
+        return (-g,)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def log(a):
+    """Natural logarithm; caller is responsible for keeping values positive."""
+    ad = a.data
+    out = Tensor(np.log(ad))
+
+    def vjp(g):
+        return (g / ad,)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def clamp(a, lo, hi):
+    """Clip into [lo, hi]; gradient is zero where the clip is active."""
+    ad = a.data
+    out = Tensor(np.clip(ad, lo, hi))
+    interior = (ad > lo) & (ad < hi)
+
+    def vjp(g):
+        return (g * interior,)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def power(a, exponent):
+    """x**p for a constant real exponent p >= 0 (values must be non-negative
+    when p is fractional)."""
+    p = float(exponent)
+    if p < 0:
+        raise ValueError("exponent must be non-negative")
+    ad = a.data
+    out = Tensor(ad ** p)
+
+    def vjp(g):
+        if p == 0.0:
+            return (np.zeros_like(ad),)
+        return (g * p * ad ** (p - 1.0),)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def sum_all(a):
+    """Sum of all entries, as a rank-0 tensor."""
+    out = Tensor(a.data.sum())
+    shape, dtype = a.data.shape, a.data.dtype
+
+    def vjp(g):
+        return (np.full(shape, float(g), dtype),)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def mean_all(a):
+    """Mean of all entries, as a rank-0 tensor."""
+    n = a.data.size
+    out = Tensor(a.data.sum() / n)
+    shape, dtype = a.data.shape, a.data.dtype
+
+    def vjp(g):
+        return (np.full(shape, float(g) / n, dtype),)
+
+    _record(out, (a,), vjp)
+    return out
 
 
 # --- primitive chains the fused tape records replace ----------------------------

@@ -57,6 +57,8 @@ class TestParams:
             ThresholdParams(dt_fraction=1.0)
         with pytest.raises(ValueError):
             ThresholdParams(gaussian_sigma=0.0)
+        with pytest.raises(ValueError, match="window must be an integer, got 3.0"):
+            ThresholdParams(window=3.0)
 
     def test_default_sigma_tracks_window(self):
         assert ThresholdParams(window=9).sigma == 1.5

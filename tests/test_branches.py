@@ -22,10 +22,9 @@ from dflow.cli import main
 from dflow.color import ColorImage
 from dflow.losses import bce_loss, focal_loss
 from dflow.network import PRESET_CHANNELS, DFlowConfig, build_dflow
-from dflow.tensor import (
-    GradTape, Tensor, add, backward, branches, hadamard, scale, sum_all, tanh)
+from dflow.tensor import GradTape, Tensor, add, backward, branches, hadamard, scale
 
-from oracles import forward_window_sequential
+from oracles import forward_window_sequential, sum_all, tanh
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -207,7 +207,10 @@ class TestInferEval:
                                         "tensors_not_list", "three_item_curve_record",
                                         "string_step", "string_shape", "float_offset",
                                         "negative_offset", "float_channels", "bool_k",
-                                        "missing_adam_moment",
+                                        "float_batch_size", "fractional_seed",
+                                        "string_focal_alpha", "bool_eval_interval",
+                                        "bool_lr", "string_curve_loss",
+                                        "fractional_curve_step", "missing_adam_moment",
                                         "duplicate_entry", "reordered_entries",
                                         "extra_header_key", "trailing_bytes"])
     def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
@@ -220,13 +223,16 @@ class TestInferEval:
         assert err.startswith("runtime error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["infer", "eval"])
-    def test_empty_split_is_a_validation_error(self, dataset_dir, trained_dir, tmp_path,
-                                               capsys, command):
+    def test_empty_split_is_a_runtime_error(self, dataset_dir, trained_dir, tmp_path,
+                                            capsys, command):
+        # the split is known only once the checkpoint and dataset are read, so
+        # after the echo; like a missing input it is a runtime error
         rc = main([command, "--checkpoint", str(trained_dir / "checkpoint.dflw"),
                    "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
                    "--split", "test"])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: split 'test' is empty\n"
+        assert rc == 2
+        assert capsys.readouterr().err == "runtime error: split 'test' is empty\n"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["resolved_config.json"]
 
     def test_eval_emits_metrics_json(self, dataset_dir, trained_dir, tmp_path,
                                      capsys):

@@ -316,5 +316,7 @@ class TestSynthGenerate:
             SynthSceneParams(width=0)
         with pytest.raises(ValueError):
             SynthSceneParams(noise_level=2.0)
+        with pytest.raises(ValueError, match="width must be an integer, got 2.5"):
+            SynthSceneParams(width=2.5)
         with pytest.raises(ValueError):
             synth_generate(SynthSceneParams(), 2, 3, "/tmp/x", splits=["train"])

@@ -22,7 +22,6 @@ from dflow.tensor import (
     mgu_forget,
     mgu_update,
     scale,
-    sum_all,
 )
 
 from oracles import (
@@ -33,6 +32,7 @@ from oracles import (
     mgu_step_chain,
     mgu_update_chain,
     rel_err,
+    sum_all,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from dflow.recurrent import (
     count_actual_params,
     param_count,
 )
-from dflow.tensor import GradTape, Tensor, backward, mean_all, tanh, zeros
+from dflow.tensor import GradTape, Tensor, backward, zeros
 
 from oracles import (
     block_naive,
@@ -19,9 +19,11 @@ from oracles import (
     conv3d_naive,
     convmgu_step_naive,
     finite_difference,
+    mean_all,
     rel_err,
     sigmoid_np,
     stack2_naive,
+    tanh,
 )
 
 REFERENCE_HP = UnitHyperparams(m=3, gamma=3, kappa=40, n=40, f=3)
@@ -61,6 +63,8 @@ class TestParamCount:
             UnitHyperparams(m=3, gamma=0, kappa=40, n=40)
         with pytest.raises(ValueError):
             UnitHyperparams(m=4, gamma=3, kappa=40, n=40)
+        with pytest.raises(ValueError, match="m must be an integer, got true"):
+            UnitHyperparams(m=True)
         with pytest.raises(ValueError):
             param_count("mystery", REFERENCE_HP)
 

@@ -11,24 +11,29 @@ from dflow.tensor import (
     Tensor,
     add,
     backward,
-    clamp,
     conv2d_same,
     conv3d_same,
     hadamard,
-    log,
-    mean_all,
-    power,
     scale,
     sigmoid,
-    sub_from_one,
-    sum_all,
-    tanh,
     time_slice,
     zeros,
 )
 from dflow.tensor import _im2col, _pad
 
-from oracles import conv2d_naive, conv3d_naive, finite_difference, rel_err
+from oracles import (
+    clamp,
+    conv2d_naive,
+    conv3d_naive,
+    finite_difference,
+    log,
+    mean_all,
+    power,
+    rel_err,
+    sub_from_one,
+    sum_all,
+    tanh,
+)
 
 
 def rand(rng, *shape):

@@ -1,4 +1,8 @@
+import copy
+import json
+import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +16,7 @@ from dflow.color import ColorImage
 from dflow.data import FrameSequence, SynthSceneParams, load_manifest, \
     load_split_windows, synth_generate
 from dflow.network import DFlowConfig, build_dflow
-from dflow.tensor import Tensor, hadamard, mean_all, sigmoid
+from dflow.tensor import Tensor, hadamard, sigmoid
 from dflow.training import (
     CheckpointError,
     DivergenceError,
@@ -29,9 +33,15 @@ from dflow.training import (
 
 from fixtures import v1_checkpoint
 from fuzz import damaged, fuzz_settings
+from oracles import mean_all
 
 V1_BLOB = v1_checkpoint.CHECKPOINT.read_bytes()
 V1_HEADER_END = 16 + struct.unpack_from("<Q", V1_BLOB, 8)[0]
+V1_HEADER = json.loads(V1_BLOB[16:V1_HEADER_END])
+# every config field and curve slot of the v1 header, as a path into it
+V1_SLOTS = [(key, name) for key in ("model_config", "train_config") for name in V1_HEADER[key]]
+V1_SLOTS += [("curve", i, j) for i in range(len(V1_HEADER["curve"])) for j in range(4)]
+OWN_VALUE = "the field's own value"
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +92,7 @@ class TestTrainLoop:
         ("adam_eps", float("-inf")), ("focal_gamma", float("inf")),
     ])
     def test_non_finite_config_number_is_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
             TrainConfig(**{field: value})
 
     def test_divergence_aborts_with_diagnostic(self, tiny_dataset):
@@ -369,8 +379,15 @@ class TestCheckpoints:
         ("string_shape", "param.decoder.w"),
         ("float_offset", "offset 8.0"),
         ("negative_offset", "param.decoder.b"),
-        ("float_channels", "channels must be int, got 2.0"),
-        ("bool_k", "k must be int, got True"),
+        ("float_channels", "channels must be an integer, got 2.0"),
+        ("bool_k", "k must be an integer, got true"),
+        ("float_batch_size", "batch_size must be an integer, got 1.0"),
+        ("fractional_seed", "seed must be an integer, got 0.5"),
+        ("string_focal_alpha", 'focal_alpha must be a number, got "x"'),
+        ("bool_eval_interval", "eval_interval must be an integer, got true"),
+        ("bool_lr", "lr must be a number, got true"),
+        ("string_curve_loss", 'curve is invalid: train_loss must be a number, got "x"'),
+        ("fractional_curve_step", "curve is invalid: step must be an integer, got 1.5"),
         ("missing_adam_moment", "writes adam.m.decoder.b"),
         ("duplicate_entry", "writes no entry"),
         ("reordered_entries", "is param.decoder.w"),
@@ -401,6 +418,35 @@ class TestCheckpoints:
             load_checkpoint(path)
         except CheckpointError:
             pass
+
+    @fuzz_settings
+    @given(st.sampled_from(V1_SLOTS),
+           st.sampled_from([True, False, 0.5, 2.0, "x", None, [], {}, math.nan, OWN_VALUE]))
+    def test_edited_header_value_resumes_or_is_a_checkpoint_error(self, tmp_path, slot, value):
+        header = copy.deepcopy(V1_HEADER)
+        *path, last = slot
+        target = header
+        for key in path:
+            target = target[key]
+        if value is not OWN_VALUE:
+            target[last] = value
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        edited = tmp_path / "edited.dflw"
+        edited.write_bytes(V1_BLOB[:8] + struct.pack("<Q", len(text)) + text
+                           + V1_BLOB[V1_HEADER_END:])
+        try:
+            run = load_checkpoint(edited)
+        except CheckpointError:
+            return
+        run.config = replace(run.config, steps=run.step + 1)
+        resume(run, {"train": [v1_checkpoint.fixture_window()]})
+        write_curve_csv(run.curve, tmp_path / "curve.csv")
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == run.step
+        for row in rows:
+            step, *values = row.split(",")
+            assert str(int(step)) == step
+            assert all(v == "" or math.isfinite(float(v)) for v in values), row
 
     def test_resume_equals_uninterrupted_run(self, tiny_dataset, tmp_path):
         config = tiny_config(steps=8)
