@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 CLAMP_EPS = 1e-7
+# rows of a cluster's own distance matrix that silhouette_score holds at once
+_SILHOUETTE_BLOCK = 64
 
 
 def validate_label_mask(label):
@@ -113,13 +115,27 @@ def dice_coefficient(pred, label):
     return float(2.0 * (a * b).sum() / total)
 
 
+def _distances(a, b, out, scratch):
+    """Euclidean distances from the columns of ``a`` to those of ``b``, built
+    in ``out`` with ``scratch``, both of shape (a.shape[1], b.shape[1]): one
+    colour channel at a time, summed in the order numpy sums a length-3 axis."""
+    np.square(np.subtract.outer(a[0], b[0], out=out), out=out)
+    for c in (1, 2):
+        out += np.square(np.subtract.outer(a[c], b[c], out=scratch), out=scratch)
+    return np.sqrt(out, out=out)
+
+
 def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
     """Mean silhouette s(i) = (b - a) / max(a, b) over sampled pixels.
 
     Features are the 3 colour channels of ``image_pixels``; the two clusters
     are the predicted target / non-target pixels. Up to ``sample_n`` pixels
     per class are drawn deterministically from ``seed``. Returns 0.0 when
-    either class is empty; singleton clusters contribute s = 0."""
+    either class is empty; singleton clusters contribute s = 0.
+
+    Memory is O(block * n + nf * nb) for nf target and nb non-target samples
+    (n the larger): the target-to-background distances are held whole, each
+    cluster's own distances only ``_SILHOUETTE_BLOCK`` rows at a time."""
     mask = validate_label_mask(pred).reshape(-1)
     px = np.asarray(image_pixels, dtype=np.float64)
     if px.ndim != 3 or px.shape[0] != 3:
@@ -145,21 +161,23 @@ def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
     fg = features[:, fg_idx]
     bg = features[:, bg_idx]
 
-    def dist(a, b):
-        # one channel at a time, summed in the order numpy sums a length-3 axis
-        d2 = (a[0][:, None] - b[0]) ** 2
-        d2 += (a[1][:, None] - b[1]) ** 2
-        d2 += (a[2][:, None] - b[2]) ** 2
-        return np.sqrt(d2, out=d2)
-
-    d_fb = dist(fg, bg)
+    shape = (fg.shape[1], bg.shape[1])
+    d_fb = _distances(fg, bg, np.empty(shape), np.empty(shape))
     scores = []
     for own, cross in ((fg, d_fb), (bg, d_fb.T)):
         n = own.shape[1]
         if n < 2:  # singleton cluster: every point scores 0
             scores.append(np.zeros(n))
             continue
-        a = dist(own, own).sum(axis=1) / (n - 1)  # the diagonal is zero
+        # each block's row sums are the whole matrix's (the diagonal is zero)
+        out = np.empty((min(n, _SILHOUETTE_BLOCK), n))
+        scratch = np.empty_like(out)
+        a = np.empty(n)
+        for i in range(0, n, _SILHOUETTE_BLOCK):
+            rows = own[:, i:i + _SILHOUETTE_BLOCK]
+            k = rows.shape[1]
+            a[i:i + k] = _distances(rows, own, out[:k], scratch[:k]).sum(axis=1)
+        a /= n - 1
         b = cross.mean(axis=1)
         denom = np.maximum(a, b)
         s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)

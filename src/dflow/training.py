@@ -80,6 +80,15 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr < 0.0:
             raise ValueError("lr must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0.0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not 0.0 < self.focal_alpha <= 1.0:
+            raise ValueError(f"focal_alpha must be in (0, 1], got {self.focal_alpha}")
+        if self.focal_gamma < 0.0:
+            raise ValueError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ValueError("steps, batch_size and eval_interval must be >= 1")
 

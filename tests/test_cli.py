@@ -151,6 +151,16 @@ class TestTrain:
                      "--checkpoint", checkpoint, "--steps", "3"]) == 1
         assert "below the checkpoint's step 5" in capsys.readouterr().err
 
+    def test_out_of_range_checkpoint_config_is_a_one_line_runtime_error(
+            self, dataset_dir, tmp_path, capsys):
+        # beta2 = 2.0 would turn every parameter into NaN at the first Adam step
+        bad = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", "beta2_above_one")
+        rc = main(["train", "--checkpoint", str(bad), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"), "--steps", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("runtime error: checkpoint train_config is "
+                                           "invalid: beta2 must be in [0, 1), got 2.0\n")
+
     def test_source_without_id_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
                                                            capsys):
         doc = json.loads((dataset_dir / "manifest.json").read_text())

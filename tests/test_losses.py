@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflow.losses import (
+    _SILHOUETTE_BLOCK,
     bce_loss,
     dice_coefficient,
     focal_loss,
@@ -221,14 +223,48 @@ def _capped_case():
     return mask.reshape(48, 48), rng.uniform(size=(3, 48, 48)), 1000, 3
 
 
+def _own_cluster_case(n_fg, side=16):
+    # n_fg target pixels; the other side * side - n_fg form the second cluster
+    rng = np.random.default_rng(n_fg)
+    mask = np.zeros(side * side)
+    mask[rng.permutation(side * side)[:n_fg]] = 1.0
+    return mask.reshape(side, side), rng.uniform(size=(3, side, side)), 1000, n_fg
+
+
 class TestSilhouetteOracle:
     @settings(max_examples=60, deadline=None)
     @given(silhouette_cases())
     @example(_capped_case())
+    @example(_own_cluster_case(2))
+    @example(_own_cluster_case(_SILHOUETTE_BLOCK - 1))
+    @example(_own_cluster_case(_SILHOUETTE_BLOCK))
+    @example(_own_cluster_case(_SILHOUETTE_BLOCK + 1))
     def test_matches_the_pairwise_reference_bit_for_bit(self, case):
         mask, img, sample_n, seed = case
         assert silhouette_score(mask, img, sample_n, seed) == \
             silhouette_naive(mask, img, sample_n, seed)
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSilhouetteMemory:
+    """A cluster's own distances are held a block of rows at a time, so the
+    peak is the fg-bg matrix plus O(block * n), not an n x n matrix."""
+
+    def test_desk_window_peak(self):
+        mask, img, _, _ = _own_cluster_case(74, side=32)
+        assert _traced_peak_mib(silhouette_score, mask, img) < 4.0
+
+    def test_peak_with_both_classes_at_the_sample_cap(self):
+        mask, img, sample_n, seed = _capped_case()
+        assert _traced_peak_mib(silhouette_score, mask, img, sample_n, seed) < 18.0
 
 
 class TestPermutationInvariance:

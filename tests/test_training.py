@@ -95,6 +95,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("beta1", -0.1, "in [0, 1)"), ("beta1", 1.0, "in [0, 1)"),
+        ("beta2", 2.0, "in [0, 1)"), ("adam_eps", 0.0, "> 0"),
+        ("focal_alpha", 0.0, "in (0, 1]"), ("focal_alpha", 1.5, "in (0, 1]"),
+        ("focal_gamma", -1.0, ">= 0"),
+    ])
+    def test_out_of_range_optimiser_or_loss_number_is_rejected(self, field, value, rule):
+        # Adam's sqrt of a negative second moment (beta2 > 1) or focal_loss
+        # would fail only at the first step; the config names the field first
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == f"{field} must be {rule}, got {value}"
+
     def test_divergence_aborts_with_diagnostic(self, tiny_dataset):
         model = tiny_model()
         model.decoder_b.data[...] = np.nan
@@ -386,6 +399,7 @@ class TestCheckpoints:
         ("string_focal_alpha", 'focal_alpha must be a number, got "x"'),
         ("bool_eval_interval", "eval_interval must be an integer, got true"),
         ("bool_lr", "lr must be a number, got true"),
+        ("beta2_above_one", r"train_config is invalid: beta2 must be in \[0, 1\), got 2.0"),
         ("string_curve_loss", 'curve is invalid: train_loss must be a number, got "x"'),
         ("fractional_curve_step", "curve is invalid: step must be an integer, got 1.5"),
         ("missing_adam_moment", "writes adam.m.decoder.b"),
