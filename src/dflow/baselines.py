@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_fields
+from .data import _as_plane
 
 __all__ = [
     "ThresholdParams",
@@ -48,15 +49,6 @@ class ThresholdParams:
         return self.window / 6.0 if self.gaussian_sigma is None else self.gaussian_sigma
 
 
-def _as_gray(gray):
-    g = np.asarray(gray, dtype=np.float64)
-    if g.ndim == 3 and g.shape[0] == 1:
-        g = g[0]
-    if g.ndim != 2:
-        raise ValueError(f"expected grayscale (H, W) or (1, H, W), got shape {g.shape}")
-    return g
-
-
 def _windowed_weighted_mean(g, window, weights):
     pad = window // 2
     gp = np.pad(g, pad, mode="edge")
@@ -70,7 +62,7 @@ def _windowed_weighted_mean(g, window, weights):
 
 def adaptive_threshold_mean(gray, params):
     """1 where pixel > local windowed mean - C, else 0."""
-    g = _as_gray(gray)
+    g = _as_plane(gray)
     w = params.window
     weights = np.full((w, w), 1.0 / (w * w))
     local = _windowed_weighted_mean(g, w, weights)
@@ -87,7 +79,7 @@ def _gaussian_weights(window, sigma):
 
 def adaptive_threshold_gaussian(gray, params):
     """Same rule with a normalised Gaussian-weighted window mean."""
-    g = _as_gray(gray)
+    g = _as_plane(gray)
     weights = _gaussian_weights(params.window, params.sigma)
     local = _windowed_weighted_mean(g, params.window, weights)
     return (g > local - params.c).astype(np.float64).reshape(np.shape(gray))
@@ -97,7 +89,7 @@ def otsu_threshold(gray):
     """Otsu's threshold over a 256-bin histogram; returns the bin value in
     [0, 1] maximising between-class variance, or None when the image has a
     single occupied bin (no split possible)."""
-    g = _as_gray(gray)
+    g = _as_plane(gray)
     levels = np.clip(np.round(g * 255.0), 0, 255).astype(np.int64)
     hist = np.bincount(levels.reshape(-1), minlength=256).astype(np.float64)
     if np.count_nonzero(hist) < 2:
@@ -142,7 +134,7 @@ def distance_transform_threshold(gray, params):
     """Otsu-binarise, distance-transform the foreground, keep pixels whose
     distance exceeds dt_fraction of the maximum. Degenerate inputs (no
     foreground/background split) produce an empty mask."""
-    g = _as_gray(gray)
+    g = _as_plane(gray)
     thresh = otsu_threshold(g)
     if thresh is None:
         return np.zeros(np.shape(gray))

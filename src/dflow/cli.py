@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,9 @@ from .color import ColorImage, extract_y, rgb_to_yuv
 __all__ = ["main"]
 
 ABLATION_CONFIGS = ["rgb", "hsv", "yuv", "rgb+yuv", "rgb+hsv", "hsv+yuv", "rgb+y"]
+BASELINES = {"mean": baselines.adaptive_threshold_mean,
+             "gaussian": baselines.adaptive_threshold_gaussian,
+             "dtransform": baselines.distance_transform_threshold}
 
 
 class CliError(Exception):
@@ -123,7 +127,7 @@ def _build_parser():
         p.add_argument("--split", choices=data.SPLITS, default="val", help="split to run on")
 
     p = sub.add_parser("baseline", help="run a handcrafted method over frames")
-    p.add_argument("method", choices=["mean", "gaussian", "dtransform"])
+    p.add_argument("method", choices=BASELINES)
     common(p, _cmd_baseline)
     p.add_argument("--dataset", required=True, help="dataset root or manifest path")
     p.add_argument("--window", type=int, default=11, help="odd side of the local window")
@@ -268,24 +272,22 @@ def _cmd_train(args):
     run = training.load_checkpoint(args.checkpoint) if args.checkpoint else None
     if args.steps is None:
         args.steps = 500 if run is None else run.config.steps
-    if run is not None and args.steps < run.step:
-        raise CliError(f"steps {args.steps} is below the checkpoint's step {run.step}")
     if run is None:
         model_config = _model_config(args, args.colors, use_block=bool(args.use_block))
-        train_config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
-                              steps=args.steps, seed=args.seed)
-    out_dir = _echo_config(args)
-    if run is not None:
-        run.config = dataclasses.replace(run.config, steps=args.steps)
-        run = training.resume(run, _load_dataset(args.dataset, run.model.config.k))
+        config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
+                        steps=args.steps, seed=args.seed)
+        run = training.TrainRun(network.build_dflow(model_config, seed=args.seed), config)
+    elif args.steps < run.step:
+        raise CliError(f"steps {args.steps} is below the checkpoint's step {run.step}")
     else:
-        dataset = _load_dataset(args.dataset, args.k)
-        run = training.train(network.build_dflow(model_config, seed=args.seed),
-                             dataset, train_config)
+        run.config = _valid(training.TrainConfig,
+                            **{**dataclasses.asdict(run.config), "steps": args.steps})
+    out_dir = _echo_config(args)
+    run = training.resume(run, _load_dataset(args.dataset, run.model.config.k))
     training.save_checkpoint(run, out_dir / "checkpoint.dflw")
     training.write_curve_csv(run.curve, out_dir / "curve.csv")
-    print(f"trained {run.step} steps; model has {run.model.n_params()} parameters; "
-          f"artifacts in {out_dir}", file=sys.stderr)
+    print(f"trained {run.step} steps; model has {recurrent.count_actual_params(run.model)} "
+          f"parameters; artifacts in {out_dir}", file=sys.stderr)
     return 0
 
 
@@ -317,11 +319,7 @@ def _cmd_baseline(args):
     params = _valid(baselines.ThresholdParams, window=args.window, c=args.offset_c,
                     gaussian_sigma=args.sigma, dt_fraction=args.dt_fraction)
     out_dir = _echo_config(args)
-    method = {
-        "mean": baselines.adaptive_threshold_mean,
-        "gaussian": baselines.adaptive_threshold_gaussian,
-        "dtransform": baselines.distance_transform_threshold,
-    }[args.method]
+    method = BASELINES[args.method]
     manifest = data.load_manifest(args.dataset)
     count = 0
     for src in manifest.sources:
@@ -393,15 +391,17 @@ def _cmd_ablate(args):
 
 
 def main(argv=None):
-    try:
-        args = _parse(argv)
-        return args.run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, training.DivergenceError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's showwarning on exit
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _parse(argv)
+            return args.run(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError, MemoryError, training.DivergenceError) as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

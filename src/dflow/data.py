@@ -59,45 +59,46 @@ class ManifestError(ValueError):
 # --- netpbm I/O --------------------------------------------------------------
 
 
-def write_ppm(path, pixels):
-    """Write a (3, H, W) [0,1] array as binary PPM (P6, maxval 255)."""
-    px = np.asarray(pixels, dtype=np.float64)
-    if px.ndim != 3 or px.shape[0] != 3:
-        raise ValueError(f"expected (3, H, W), got {px.shape}")
-    h, w = px.shape[1:]
-    data = np.clip(np.round(px * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.transpose(1, 2, 0).tobytes())
+def _sample_dtype(maxval):
+    """Netpbm samples are one byte up to maxval 255, two big-endian bytes above."""
+    return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
-def write_pgm(path, mask):
-    """Write a (H, W) or (1, H, W) {0,1} mask as binary PGM (P5, 0/255)."""
-    m = np.asarray(mask, dtype=np.float64)
-    if m.ndim == 3 and m.shape[0] == 1:
-        m = m[0]
-    if m.ndim != 2:
-        raise ValueError(f"expected (H, W) or (1, H, W), got {np.shape(mask)}")
-    h, w = m.shape
-    data = np.where(m > 0.5, 255, 0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
-def write_pgm16(path, values):
-    """Write a (H, W) or (1, H, W) [0,1] array as 16-bit PGM (P5, maxval 65535,
-    most significant byte first)."""
+def _as_plane(values):
+    """A (H, W) or (1, H, W) array as a float64 (H, W) array."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == 3 and v.shape[0] == 1:
         v = v[0]
     if v.ndim != 2:
         raise ValueError(f"expected (H, W) or (1, H, W), got {np.shape(values)}")
-    h, w = v.shape
-    data = np.clip(np.round(v * 65535.0), 0, 65535).astype(">u2")
+    return v
+
+
+def _write_netpbm(path, magic, samples, maxval):
+    """Write (H, W) or (H, W, channels) integer-valued samples as binary netpbm."""
+    h, w = samples.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(samples.astype(_sample_dtype(maxval)).tobytes())
+
+
+def write_ppm(path, pixels):
+    """Write a (3, H, W) [0,1] array as binary PPM (P6, maxval 255)."""
+    px = np.asarray(pixels, dtype=np.float64)
+    if px.ndim != 3 or px.shape[0] != 3:
+        raise ValueError(f"expected (3, H, W), got {px.shape}")
+    _write_netpbm(path, "P6", np.clip(np.round(px * 255.0), 0, 255).transpose(1, 2, 0), 255)
+
+
+def write_pgm(path, mask):
+    """Write a (H, W) or (1, H, W) {0,1} mask as binary PGM (P5, 0/255)."""
+    _write_netpbm(path, "P5", np.where(_as_plane(mask) > 0.5, 255, 0), 255)
+
+
+def write_pgm16(path, values):
+    """Write a (H, W) or (1, H, W) [0,1] array as 16-bit PGM (P5, maxval 65535,
+    most significant byte first)."""
+    _write_netpbm(path, "P5", np.clip(np.round(_as_plane(values) * 65535.0), 0, 65535), 65535)
 
 
 def _read_netpbm_header(blob, magic):
@@ -116,13 +117,12 @@ def _read_netpbm_header(blob, magic):
 
 
 def _read_netpbm(path, magic, channels):
-    """(channels, H, W) floats in [0, 1] from a binary netpbm file; samples
-    are one byte up to maxval 255 and two big-endian bytes above it."""
+    """(channels, H, W) floats in [0, 1] from a binary netpbm file."""
     blob = Path(path).read_bytes()
     w, h, maxval, offset = _read_netpbm_header(blob, magic)
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: maxval {maxval} is outside 1..65535")
-    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    dtype = _sample_dtype(maxval)
     count = w * h * channels
     if len(blob) - offset < count * dtype.itemsize:
         raise ValueError(f"{path}: payload has {len(blob) - offset} bytes, "
@@ -316,6 +316,16 @@ class SynthSceneParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.distractor_count < 0 or self.line_count < 0:
             raise ValueError("counts must be non-negative")
+        if self.distractor_count > 0 and min(self.width, self.height) < 2:  # patches are 2+ px
+            raise ValueError(f"distractor_count must be 0 when width or height is below 2, got "
+                             f"distractor_count={self.distractor_count}, width={self.width}, "
+                             f"height={self.height}")
+
+
+def _pixel_centres(height, width):
+    """The x and y coordinates of every pixel centre, each (height, width)."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    return xs + 0.5, ys + 0.5
 
 
 def rasterize_polygon(vertices, height, width):
@@ -324,9 +334,7 @@ def rasterize_polygon(vertices, height, width):
     ``vertices`` is a (4, 2) array of (x, y) corners in counter-clockwise
     order (y down)."""
     verts = np.asarray(vertices, dtype=np.float64)
-    ys, xs = np.mgrid[0:height, 0:width]
-    cx = xs + 0.5
-    cy = ys + 0.5
+    cx, cy = _pixel_centres(height, width)
     inside = np.ones((height, width), dtype=bool)
     n = len(verts)
     for i in range(n):
@@ -347,8 +355,8 @@ def _convex_quad(rng, cx, cy, radius):
     return np.stack([xs, ys], axis=1)
 
 
-def _bilinear_field(rng, height, width, grid=5, lo=0.0, hi=1.0):
-    coarse = rng.uniform(lo, hi, size=(grid, grid))
+def _bilinear_field(rng, height, width, grid=5):
+    coarse = rng.uniform(0.0, 1.0, size=(grid, grid))
     gy = np.linspace(0, grid - 1, height)
     gx = np.linspace(0, grid - 1, width)
     y0 = np.clip(gy.astype(int), 0, grid - 2)
@@ -363,17 +371,16 @@ def _bilinear_field(rng, height, width, grid=5, lo=0.0, hi=1.0):
             + bl * fy * (1 - fx) + br * fy * fx)
 
 
-def _segment_mask(p0, p1, height, width, thickness=0.8):
-    ys, xs = np.mgrid[0:height, 0:width]
-    cx = xs + 0.5
-    cy = ys + 0.5
+def _segment_mask(p0, p1, height, width):
+    """Pixels whose centre lies within 0.8 of the segment p0-p1."""
+    cx, cy = _pixel_centres(height, width)
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     length2 = dx * dx + dy * dy
     if length2 == 0.0:
         return np.zeros((height, width), dtype=bool)
     t = np.clip(((cx - p0[0]) * dx + (cy - p0[1]) * dy) / length2, 0.0, 1.0)
     dist2 = (cx - (p0[0] + t * dx)) ** 2 + (cy - (p0[1] + t * dy)) ** 2
-    return dist2 <= thickness ** 2
+    return dist2 <= 0.8 ** 2
 
 
 def _generate_sequence(params, seq_index, length):

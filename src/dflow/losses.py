@@ -52,13 +52,11 @@ def _mean_loss(p, terms, interior, grad_pc):
     ``grad_pc(gs)`` is the gradient w.r.t. the clipped p when every term's
     upstream gradient is gs; the vjp zeroes it where the clip is active."""
     n = terms.size
-    out = Tensor((terms.sum() / n) * -1.0)
 
     def vjp(g):
         return (grad_pc(float(g * -1.0) / n) * interior,)
 
-    _record(out, (p,), vjp)
-    return out
+    return _record((terms.sum() / n) * -1.0, (p,), vjp)
 
 
 def bce_loss(p, y, eps=CLAMP_EPS):

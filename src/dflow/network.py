@@ -11,14 +11,14 @@ forward and backward, with bits that do not depend on the number of CPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ._fields import check_fields
 from .color import extract_y, rgb_to_hsv, rgb_to_yuv
-from .recurrent import ConvMguBlock, ConvMguStack2, _uniform, count_actual_params
+from .recurrent import ConvMguBlock, ConvMguStack2, _uniform
 from .tensor import Tensor, add, branches, conv2d_same, sigmoid, zeros
 
 __all__ = [
@@ -65,9 +65,6 @@ class DFlowConfig:
     def dual_flow(self):
         return self.flow_b_space is not None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def frames_for_flow(frames_rgb, space):
     """Render a list of RGB ColorImages into one flow's input tensors."""
@@ -109,9 +106,6 @@ class DFlowModel:
         out["decoder.w"] = self.decoder_w
         out["decoder.b"] = self.decoder_b
         return out
-
-    def n_params(self):
-        return count_actual_params(self)
 
     def _decode(self, features):
         return sigmoid(conv2d_same(features, self.decoder_w, self.decoder_b))

@@ -17,11 +17,12 @@ the innermost active :class:`GradTape` (one per training context, tracked
 per thread). Gradients accumulate additively when a tensor feeds several
 consumers, in tape order, so replaying the same tape is bit-reproducible.
 
-The tape holds nodes, not tensors: a parameter is its own node, and an op
-output recorded under a tape gets a fresh data-free :class:`_Node`. Each
-vjp closes over only the arrays it reads (an activation's output, a
-product's other factor, a conv's unpadded input and kernel), so an
-intermediate that no vjp reads is freed as soon as the forward drops it.
+Every op returns ``_record(y, inputs, vjp)``, a tensor of the array y that
+gets a fresh data-free :class:`_Node` and a tape record if a tape is active
+and an input is tracked; a parameter is its own node. Each vjp closes over
+only the arrays it reads (an activation's output, a product's other factor,
+a conv's unpadded input and kernel), so an intermediate that no vjp reads is
+freed as soon as the forward drops it.
 
 branches runs independent functions (the model's colour flows) at the same
 time: the first on the calling thread, the rest on a pool with one worker
@@ -178,14 +179,17 @@ def _leaves(records):
             yield rec
 
 
-def _record(out, inputs, vjp):
+def _record(y, inputs, vjp):
+    """The op's output ``Tensor(y)``, recorded on the active tape if an input is tracked."""
+    out = Tensor(y)
     stack = _tape_stack()
     if not stack:
-        return
+        return out
     nodes = tuple([t._node for t in inputs])
     if any(n is not None for n in nodes):
         out._node = _Node()
         stack[-1]._records.append((out._node, nodes, vjp))
+    return out
 
 
 def backward(tape, loss):
@@ -336,50 +340,42 @@ def _d_tanh(y):
 def sigmoid(a):
     """Logistic sigmoid 1/(1+e^-x), elementwise; maps into (0, 1)."""
     y = _sigmoid_values(a.data)
-    out = Tensor(y)
 
     def vjp(g):
         return (g * _d_sigmoid(y),)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(y, (a,), vjp)
 
 
 def add(a, b):
     """Elementwise sum; shapes must match exactly (no broadcasting)."""
     _require_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
 
     def vjp(g):
         return (g, g)
 
-    _record(out, (a, b), vjp)
-    return out
+    return _record(a.data + b.data, (a, b), vjp)
 
 
 def hadamard(a, b):
     """Elementwise product; shapes must match exactly."""
     _require_same_shape(a, b, "hadamard")
     ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
 
     def vjp(g):
         return (g * bd, g * ad)
 
-    _record(out, (a, b), vjp)
-    return out
+    return _record(ad * bd, (a, b), vjp)
 
 
 def scale(a, c):
     """Multiply by a Python scalar constant."""
     c = float(c)
-    out = Tensor(a.data * c)
 
     def vjp(g):
         return (g * c,)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(a.data * c, (a,), vjp)
 
 
 def time_slice(a, t):
@@ -389,7 +385,6 @@ def time_slice(a, t):
         raise ValueError(f"time_slice expects rank 4 (C, T, H, W), got {ad.shape}")
     if not 0 <= t < ad.shape[1]:
         raise ValueError(f"time index {t} out of range for T={ad.shape[1]}")
-    out = Tensor(ad[:, t].copy())
     shape, dtype = ad.shape, ad.dtype
 
     def vjp(g):
@@ -397,8 +392,7 @@ def time_slice(a, t):
         full[:, t] = g
         return (full,)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(ad[:, t].copy(), (a,), vjp)
 
 
 # --- fused ConvMGU cell (bit-identical to the primitive chains) --------------
@@ -408,14 +402,12 @@ def mgu_forget(a, b):
     """Forget gate sigmoid(a + b) of the two gate pre-activations."""
     _require_same_shape(a, b, "mgu_forget")
     y = _sigmoid_values(a.data + b.data)
-    out = Tensor(y)
 
     def vjp(g):
         gz = g * _d_sigmoid(y)
         return (gz, gz)
 
-    _record(out, (a, b), vjp)
-    return out
+    return _record(y, (a, b), vjp)
 
 
 def mgu_update(f, c1, c2, h_prev):
@@ -424,7 +416,6 @@ def mgu_update(f, c1, c2, h_prev):
         _require_same_shape(f, t, "mgu_update")
     fd, hd = f.data, h_prev.data
     cand = np.tanh(c1.data + c2.data)
-    out = Tensor((1.0 - fd) * hd + fd * cand)
     need_h = h_prev._node is not None  # a constant initial state needs no gradient
 
     def vjp(g):
@@ -432,8 +423,7 @@ def mgu_update(f, c1, c2, h_prev):
         gh = g * (1.0 - fd) if need_h else None
         return (g * cand + -(g * hd), gc, gc, gh)
 
-    _record(out, (f, c1, c2, h_prev), vjp)
-    return out
+    return _record((1.0 - fd) * hd + fd * cand, (f, c1, c2, h_prev), vjp)
 
 
 # --- convolution ------------------------------------------------------------
@@ -501,7 +491,6 @@ def _conv_same(x, kernel, bias, nd):
     y = _conv_forward(xd, kd)
     if bias is not None:
         y = y + bias.data.reshape(-1, *(1,) * nd)
-    out = Tensor(y)
     cout, m = kd.shape[0], kd.shape[-1]
     need_x, need_k = x._node is not None, kernel._node is not None
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -519,8 +508,7 @@ def _conv_same(x, kernel, bias, nd):
             return (gx, gk)
         return (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))
 
-    _record(out, inputs, vjp)
-    return out
+    return _record(y, inputs, vjp)
 
 
 def conv2d_same(x, kernel, bias=None):

@@ -92,9 +92,6 @@ class TrainConfig:
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ValueError("steps, batch_size and eval_interval must be >= 1")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class CurveRecord:
@@ -151,7 +148,8 @@ def _val_metrics(model, val_windows, loss_fn):
     return float(np.mean(losses)), float(np.mean(dices))
 
 
-def _train_loop(run, data):
+def resume(run, data):
+    """Continue a TrainRun, fresh or loaded, until its configured step budget."""
     config = run.config
     windows = data.get("train", [])
     if not windows:
@@ -207,12 +205,7 @@ def train(model, data, config):
     """Run ``config.steps`` optimiser updates over the train split of ``data``
     (a dict split -> list[FrameSequence]); returns the TrainRun with its
     learning curve."""
-    return _train_loop(TrainRun(model=model, config=config), data)
-
-
-def resume(run, data):
-    """Continue a loaded TrainRun until its configured step budget."""
-    return _train_loop(run, data)
+    return resume(TrainRun(model=model, config=config), data)
 
 
 def evaluate(model, data, split):
@@ -314,8 +307,8 @@ def _header(run):
     directory = [{"name": name, "shape": list(arr.shape), "offset": offset}
                  for (name, arr), offset in zip(tensors, offsets)]
     header = {
-        "model_config": run.model.config.to_dict(),
-        "train_config": run.config.to_dict(),
+        "model_config": asdict(run.model.config),
+        "train_config": asdict(run.config),
         "step": run.step,
         "curve": [[r.step, r.train_loss, r.val_loss, r.val_dice] for r in run.curve],
         "tensors": directory,

@@ -157,49 +157,41 @@ def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
 def tanh(a):
     """Hyperbolic tangent, elementwise; maps into (-1, 1)."""
     y = np.tanh(a.data)
-    out = Tensor(y)
 
     def vjp(g):
         return (g * (1.0 - y * y),)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(y, (a,), vjp)
 
 
 def sub_from_one(a):
     """1 - x elementwise (the gate complement in a convex combination)."""
-    out = Tensor(1.0 - a.data)
 
     def vjp(g):
         return (-g,)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(1.0 - a.data, (a,), vjp)
 
 
 def log(a):
     """Natural logarithm; caller is responsible for keeping values positive."""
     ad = a.data
-    out = Tensor(np.log(ad))
 
     def vjp(g):
         return (g / ad,)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(np.log(ad), (a,), vjp)
 
 
 def clamp(a, lo, hi):
     """Clip into [lo, hi]; gradient is zero where the clip is active."""
     ad = a.data
-    out = Tensor(np.clip(ad, lo, hi))
     interior = (ad > lo) & (ad < hi)
 
     def vjp(g):
         return (g * interior,)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(np.clip(ad, lo, hi), (a,), vjp)
 
 
 def power(a, exponent):
@@ -209,40 +201,34 @@ def power(a, exponent):
     if p < 0:
         raise ValueError("exponent must be non-negative")
     ad = a.data
-    out = Tensor(ad ** p)
 
     def vjp(g):
         if p == 0.0:
             return (np.zeros_like(ad),)
         return (g * p * ad ** (p - 1.0),)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(ad ** p, (a,), vjp)
 
 
 def sum_all(a):
     """Sum of all entries, as a rank-0 tensor."""
-    out = Tensor(a.data.sum())
     shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
         return (np.full(shape, float(g), dtype),)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(a.data.sum(), (a,), vjp)
 
 
 def mean_all(a):
     """Mean of all entries, as a rank-0 tensor."""
     n = a.data.size
-    out = Tensor(a.data.sum() / n)
     shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
         return (np.full(shape, float(g) / n, dtype),)
 
-    _record(out, (a,), vjp)
-    return out
+    return _record(a.data.sum() / n, (a,), vjp)
 
 
 # --- primitive chains the fused tape records replace ----------------------------

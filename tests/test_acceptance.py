@@ -8,6 +8,7 @@ few minutes; everything else finishes in seconds.
 import functools
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -259,7 +260,7 @@ def test_criterion_6_invariant_suites(micro_dataset, tmp_path):
     full = TrainConfig(steps=10, eval_interval=5, lr=1e-3, seed=4)
     straight = train(build_dflow(DFlowConfig(channels=2, k=2), seed=4),
                      micro_dataset, full)
-    half_cfg = TrainConfig(**{**full.to_dict(), "steps": 5})
+    half_cfg = TrainConfig(**{**asdict(full), "steps": 5})
     half = train(build_dflow(DFlowConfig(channels=2, k=2), seed=4),
                  micro_dataset, half_cfg)
     half = TrainRun(model=half.model, config=full, step=half.step,

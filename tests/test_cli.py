@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 
+from dflow import recurrent
 from dflow.cli import main
 from dflow.data import read_pgm
 from dflow.training import load_checkpoint
@@ -77,6 +82,24 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "x"), flag, value]) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 40), (40, 1)])
+    def test_distractors_on_a_one_pixel_side_are_rejected_before_writing(
+            self, tmp_path, capsys, width, height):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--width", str(width), "--height",
+                     str(height), "--train", "1", "--val", "0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: distractor_count must be 0 when width or height is below 2, "
+            f"got distractor_count=2, width={width}, height={height}\n")
+        assert not out.exists()
+
+    def test_one_pixel_scene_without_distractors_is_generated(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--width", "1", "--height", "1",
+                     "--train", "1", "--val", "0", "--frames", "2",
+                     "--distractors", "0"]) == 0
+        assert read_pgm(out / "seq_000" / "label_00001.pgm").shape == (1, 1, 1)
 
 
 class TestTrain:
@@ -457,6 +480,58 @@ class TestValidationErrors:
                    "--out", str(tmp_path / "x"), "--flows", "single",
                    "--colors", "yuv"])
         assert rc == 1
+
+
+class TestOneLineStderr:
+    """Whatever goes wrong, stderr holds one line per message and no traceback."""
+
+    @pytest.fixture
+    def no_memory(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 65.5 TiB for an array")
+        monkeypatch.setattr(recurrent.ConvMguCell, "__init__", refuse)
+
+    def test_memory_error_in_params_is_a_runtime_error(self, no_memory, capsys):
+        assert main(["params", "--kappa", "100000", "--n", "100000"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: Unable to allocate 65.5 TiB for an array\n")
+
+    def test_memory_error_in_train_writes_nothing(self, no_memory, dataset_dir, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--channels", "1000000"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: Unable to allocate 65.5 TiB for an array\n")
+        assert not out.exists()
+
+    # every source of dataset_dir has 5 frames, so k = 5 skips each with a warning
+    SKIPPED_EVERY_SOURCE = [
+        *(f"warning: source seq_{i:03d} has 5 frames, fewer than the k+1=6 a window "
+          f"needs; skipped" for i in range(3)),
+        "runtime error: training requires a non-empty train split",
+    ]
+
+    def test_warnings_are_one_line_each(self, dataset_dir, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             *filter(None, [env.get("PYTHONPATH")])])
+        result = subprocess.run(
+            [sys.executable, "-m", "dflow.cli", "train", "--dataset", str(dataset_dir),
+             "--out", str(tmp_path / "out"), "--k", "5", "--channels", "2"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == self.SKIPPED_EVERY_SOURCE
+
+    def test_warning_settings_of_the_caller_are_kept(self, dataset_dir, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            before = (warnings.showwarning, list(warnings.filters))
+            assert main(["train", "--dataset", str(dataset_dir), "--out",
+                         str(tmp_path / "out"), "--k", "5", "--channels", "2"]) == 2
+            assert (warnings.showwarning, list(warnings.filters)) == before
+        assert capsys.readouterr().err.splitlines() == self.SKIPPED_EVERY_SOURCE
 
 
 class TestAblate:

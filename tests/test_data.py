@@ -65,6 +65,38 @@ class TestNetpbm:
         blob = path.read_bytes()
         assert blob.endswith(b"\x00\x01")
 
+    def test_ppm_bytes(self, tmp_path):
+        # (3, H=1, W=2): samples interleave per pixel, values clip to [0, 1]
+        # and round half to even (0.5 * 255 = 127.5 -> 128)
+        px = np.array([[[0.0, 0.5]], [[1.0, 1.5]], [[-0.2, 0.1]]])
+        path = tmp_path / "img.ppm"
+        write_ppm(path, px)
+        assert path.read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 255, 0, 128, 255, 26])
+
+    @pytest.mark.parametrize("lead", [(), (1,)])
+    def test_pgm_bytes(self, tmp_path, lead):
+        # (H=2, W=3) or (1, 2, 3): 255 strictly above 0.5, so 0.5 itself is 0
+        mask = np.array([[0.0, 0.5, 0.5000001], [1.0, 0.25, 2.0]]).reshape(lead + (2, 3))
+        path = tmp_path / "mask.pgm"
+        write_pgm(path, mask)
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 0, 255, 255, 0, 255])
+
+    @pytest.mark.parametrize("lead", [(), (1,)])
+    def test_pgm16_bytes(self, tmp_path, lead):
+        # two big-endian bytes per sample; 0.5 * 65535 = 32767.5 rounds to 32768
+        values = np.array([[0.0, 0.5, 1.0], [1.0 / 65535.0, 2.0, -1.0]]).reshape(lead + (2, 3))
+        path = tmp_path / "prob.pgm"
+        write_pgm16(path, values)
+        assert path.read_bytes() == (b"P5\n3 2\n65535\n"
+                                     + b"\x00\x00\x80\x00\xff\xff\x00\x01\xff\xff\x00\x00")
+
+    @pytest.mark.parametrize("writer", [write_pgm, write_pgm16])
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4,), (1, 1, 2, 2)])
+    def test_pgm_writers_reject_other_shapes(self, tmp_path, writer, shape):
+        with pytest.raises(ValueError, match=r"expected \(H, W\) or \(1, H, W\)"):
+            writer(tmp_path / "bad.pgm", np.zeros(shape))
+        assert not (tmp_path / "bad.pgm").exists()
+
     def test_header_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
@@ -320,3 +352,12 @@ class TestSynthGenerate:
             SynthSceneParams(width=2.5)
         with pytest.raises(ValueError):
             synth_generate(SynthSceneParams(), 2, 3, "/tmp/x", splits=["train"])
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 40), (40, 1)])
+    def test_distractors_need_two_pixels_on_each_side(self, width, height):
+        # a distractor patch is at least 2 pixels wide
+        with pytest.raises(ValueError, match=f"distractor_count must be 0 when width or "
+                           f"height is below 2, got distractor_count=1, width={width}, "
+                           f"height={height}"):
+            SynthSceneParams(width=width, height=height, distractor_count=1)
+        SynthSceneParams(width=width, height=height, distractor_count=0)

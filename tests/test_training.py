@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -466,7 +466,7 @@ class TestCheckpoints:
         config = tiny_config(steps=8)
         straight = train(tiny_model(seed=15), tiny_dataset, config)
 
-        half = TrainConfig(**{**config.to_dict(), "steps": 4})
+        half = TrainConfig(**{**asdict(config), "steps": 4})
         run = train(tiny_model(seed=15), tiny_dataset, half)
         path = tmp_path / "half.dflw"
         # re-tag the interrupted run with the full step budget before saving
