@@ -399,7 +399,8 @@ def main(argv=None):
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except (ValueError, OSError, MemoryError, training.DivergenceError) as exc:
+        except (ValueError, OSError, MemoryError, training.DivergenceError,
+                Warning) as exc:  # a Warning is raised when the caller's filters say so
             print(f"runtime error: {exc}", file=sys.stderr)
             return 2
 

@@ -8,8 +8,6 @@ HSV is the standard hexcone with hue normalised to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -33,28 +31,52 @@ YUV_OFFSET = np.array([0.0, 0.5, 0.5])
 _YUV_TO_RGB_MATRIX = np.linalg.inv(RGB_TO_YUV_MATRIX)
 
 
-@dataclass(frozen=True)
 class ColorImage:
-    """A (3, H, W) image in [0, 1] tagged with its colour space."""
+    """A (3, H, W) image in [0, 1] tagged with its colour space.
 
-    pixels: np.ndarray
-    space: str
+    ``ColorImage(pixels, space)`` holds float pixels. ``from_samples`` holds a
+    netpbm file's integer samples instead, in file order (H, W, 3), at 1 byte
+    per 8-bit sample rather than 8; ``pixels`` then divides them by maxval on
+    every read, giving the array ``data.read_ppm`` returns for the file.
+    Treat ``pixels`` as read-only."""
 
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3 or px.shape[0] != 3:
-            raise ValueError(f"expected shape (3, H, W), got {px.shape}")
-        if self.space not in ("rgb", "yuv", "hsv"):
-            raise ValueError(f"unknown colour space {self.space!r}")
-        object.__setattr__(self, "pixels", px)
+    __slots__ = ("_stored", "_maxval", "_shape", "space")
+
+    def __init__(self, pixels, space):
+        self._hold(np.asarray(pixels, dtype=np.float64), None, space)
+
+    @classmethod
+    def from_samples(cls, samples, maxval, space):
+        img = cls.__new__(cls)
+        img._hold(np.array(samples), maxval, space)  # a copy, so the file's bytes can go
+        return img
+
+    def _hold(self, stored, maxval, space):
+        shape = stored.shape if maxval is None else stored.shape[-1:] + stored.shape[:-1]
+        if len(shape) != 3 or shape[0] != 3:
+            raise ValueError(f"expected shape (3, H, W), got {shape}")
+        if space not in ("rgb", "yuv", "hsv"):
+            raise ValueError(f"unknown colour space {space!r}")
+        self._stored, self._maxval, self._shape, self.space = stored, maxval, shape, space
+
+    @property
+    def pixels(self):
+        if self._maxval is None:
+            return self._stored
+        return unit_floats(self._stored, self._maxval)
 
     @property
     def height(self):
-        return self.pixels.shape[1]
+        return self._shape[1]
 
     @property
     def width(self):
-        return self.pixels.shape[2]
+        return self._shape[2]
+
+
+def unit_floats(samples, maxval):
+    """(channels, H, W) float64 in [0, 1] from (H, W, channels) netpbm samples."""
+    return samples.transpose(2, 0, 1).astype(np.float64) / maxval
 
 
 def _require_space(img, space, op):
@@ -91,9 +113,10 @@ def rgb_to_hsv(img):
 
     Conventions: H = 0 when max = min (achromatic), S = 0 when max = 0."""
     _require_space(img, "rgb", "rgb_to_hsv")
-    r, g, b = img.pixels
-    mx = np.max(img.pixels, axis=0)
-    mn = np.min(img.pixels, axis=0)
+    px = img.pixels
+    r, g, b = px
+    mx = np.max(px, axis=0)
+    mn = np.min(px, axis=0)
     delta = mx - mn
     safe_delta = np.where(delta == 0.0, 1.0, delta)
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import check_fields
-from .color import ColorImage
+from .color import ColorImage, unit_floats
 
 __all__ = [
     "FrameSequence",
@@ -117,7 +117,8 @@ def _read_netpbm_header(blob, magic):
 
 
 def _read_netpbm(path, magic, channels):
-    """(channels, H, W) floats in [0, 1] from a binary netpbm file."""
+    """The integer samples of a binary netpbm file in file order,
+    (H, W, channels) and still a view of the file's bytes, and its maxval."""
     blob = Path(path).read_bytes()
     w, h, maxval, offset = _read_netpbm_header(blob, magic)
     if not 1 <= maxval <= 65535:
@@ -128,17 +129,17 @@ def _read_netpbm(path, magic, channels):
         raise ValueError(f"{path}: payload has {len(blob) - offset} bytes, "
                          f"{count * dtype.itemsize} expected")
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-    return raw.reshape(h, w, channels).transpose(2, 0, 1).astype(np.float64) / maxval
+    return raw.reshape(h, w, channels), maxval
 
 
 def read_ppm(path):
     """Read a binary PPM (8- or 16-bit) into a (3, H, W) float array in [0, 1]."""
-    return _read_netpbm(path, b"P6", 3)
+    return unit_floats(*_read_netpbm(path, b"P6", 3))
 
 
 def read_pgm(path):
     """Read a binary PGM (8- or 16-bit) into a (1, H, W) float array in [0, 1]."""
-    return _read_netpbm(path, b"P5", 1)
+    return unit_floats(*_read_netpbm(path, b"P5", 1))
 
 
 # --- manifest ----------------------------------------------------------------
@@ -262,7 +263,8 @@ class FrameSequence:
 def window_sequences(manifest, k, split=None):
     """Yield sliding windows of k+1 frames (stride 1), never crossing source
     boundaries; sources shorter than k+1 are skipped with a warning. Label is
-    the final frame's mask."""
+    the final frame's mask. Frames keep their file's samples, one image per
+    frame shared by every window that holds it."""
     if k < 0:
         raise ValueError("k must be >= 0")
     need = k + 1
@@ -273,7 +275,8 @@ def window_sequences(manifest, k, split=None):
             warnings.warn(f"source {src.id} has {len(src.frames)} frames, "
                           f"fewer than the k+1={need} a window needs; skipped")
             continue
-        frames = [ColorImage(read_ppm(manifest.root / rel), "rgb") for rel in src.frames]
+        frames = [ColorImage.from_samples(*_read_netpbm(manifest.root / rel, b"P6", 3),
+                                          "rgb") for rel in src.frames]
         labels = [read_pgm(manifest.root / rel) for rel in src.labels]
         for start in range(len(frames) - need + 1):
             yield FrameSequence(

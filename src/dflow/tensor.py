@@ -325,8 +325,9 @@ def _require_same_shape(a, b, op):
 def _sigmoid_values(x):
     # exp of a non-positive argument only, so no overflow at either tail;
     # one division gives 1/(1+z) where x >= 0 and z/(1+z) elsewhere
+    # (0 <= z <= 1, so the maximum with the bool mask picks 1 or z)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    return np.maximum(z, x >= 0) / (1.0 + z)
 
 
 def _d_sigmoid(y):

@@ -524,6 +524,19 @@ class TestOneLineStderr:
         assert result.returncode == 2
         assert result.stderr.splitlines() == self.SKIPPED_EVERY_SOURCE
 
+    def test_warning_made_an_error_is_one_runtime_error_line(self, dataset_dir, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             *filter(None, [env.get("PYTHONPATH")])])
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dflow.cli", "train", "--dataset",
+             str(dataset_dir), "--out", str(tmp_path / "out"), "--k", "5", "--channels", "2"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "runtime error: " + self.SKIPPED_EVERY_SOURCE[0].removeprefix("warning: ")]
+
     def test_warning_settings_of_the_caller_are_kept(self, dataset_dir, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -24,6 +25,8 @@ from dflow.data import (
     write_pgm16,
     write_ppm,
 )
+from dflow.network import DFlowConfig, build_dflow
+from dflow.training import TrainConfig, evaluate, train
 
 from fuzz import damaged, fuzz_settings
 
@@ -361,3 +364,81 @@ class TestSynthGenerate:
                            f"height={height}"):
             SynthSceneParams(width=width, height=height, distractor_count=1)
         SynthSceneParams(width=width, height=height, distractor_count=0)
+
+
+class TestLoadedFrames:
+    """Frames loaded by ``load_split_windows`` against the ``read_ppm`` floats."""
+
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        params = SynthSceneParams(width=8, height=8, seed=15)
+        synth_generate(params, 3, 5, tmp_path, splits=["train", "val", "test"])
+        return load_manifest(tmp_path)
+
+    @staticmethod
+    def rebuilt_from_floats(manifest, windows):
+        """The same windows, each frame and label read again with read_ppm/read_pgm."""
+        sources = {src.id: src for src in manifest.sources}
+
+        def rebuild(seq):
+            src = sources[seq.source_id]
+            frames = [ColorImage(read_ppm(manifest.root / src.frames[i]), "rgb")
+                      for i in seq.frame_indices]
+            label = read_pgm(manifest.root / src.labels[seq.frame_indices[-1]])
+            return FrameSequence(frames, label, seq.source_id, seq.frame_indices)
+
+        return {split: [rebuild(seq) for seq in seqs] for split, seqs in windows.items()}
+
+    def test_predict_training_and_evaluate_match_read_ppm_floats(self, dataset):
+        loaded = load_split_windows(dataset, k=2)
+        floats = self.rebuilt_from_floats(dataset, loaded)
+        assert [len(loaded[s]) for s in ("train", "val", "test")] == [3, 3, 3]
+        assert loaded["train"][0].frames[1] is loaded["train"][1].frames[0]  # one image a frame
+        for space in ("yuv", "hsv"):
+            model = build_dflow(DFlowConfig(flow_b_space=space, channels=2, k=2), seed=0)
+            for a, b in zip(loaded["test"], floats["test"]):
+                npt.assert_array_equal(model.predict(a.frames), model.predict(b.frames))
+        config = TrainConfig(steps=3, eval_interval=1, seed=0)
+        runs = [train(build_dflow(DFlowConfig(channels=2, k=2), seed=1), windows, config)
+                for windows in (loaded, floats)]
+        assert runs[0].curve == runs[1].curve
+        params = [run.model.parameters() for run in runs]
+        assert params[0].keys() == params[1].keys()
+        for name in params[0]:
+            npt.assert_array_equal(params[0][name].data, params[1][name].data)
+        rows = [evaluate(run.model, windows, "test").rows
+                for run, windows in zip(runs, (loaded, floats))]
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("maxval", [255, 100, 65535, 1000])
+    def test_pixels_equal_read_ppm_in_values_dtype_and_strides(self, tmp_path, maxval):
+        h, w = 3, 5
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=h * w * 3)
+        frame = tmp_path / "f.ppm"
+        frame.write_bytes(f"P6\n{w} {h}\n{maxval}\n".encode()
+                          + samples.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+        write_pgm(tmp_path / "l.pgm", np.zeros((h, w)))
+        rec = SourceRecord(id="s0", frames=["f.ppm"], labels=["l.pgm"], split="train")
+        save_manifest(DatasetManifest(root=tmp_path, sources=[rec]))
+        (window,) = load_split_windows(load_manifest(tmp_path), k=0)["train"]
+        got, want = window.frames[0].pixels, read_ppm(frame)
+        npt.assert_array_equal(got, want)
+        assert (got.dtype, got.strides, got.shape) == (want.dtype, want.strides, want.shape)
+        npt.assert_array_equal(want, samples.reshape(h, w, 3).transpose(2, 0, 1) / maxval)
+
+    def test_frames_hold_about_one_byte_per_8_bit_sample(self, tmp_path):
+        params = SynthSceneParams(width=32, height=32, seed=16)
+        synth_generate(params, 4, 6, tmp_path, splits=["train", "train", "val", "test"])
+        manifest = load_manifest(tmp_path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            windows = load_split_windows(manifest, k=2)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_windows = sum(len(seqs) for seqs in windows.values())
+        samples = 4 * 6 * 3 * 32 * 32          # every frame of every source, 1 byte each
+        labels = n_windows * 32 * 32 * 8       # each window's float64 label
+        # float64 frames would retain 8 bytes per sample (about 740 KB here)
+        assert retained <= 1.25 * samples + labels + 2048 * n_windows, retained
