@@ -192,12 +192,16 @@ def _record(y, inputs, vjp):
     return out
 
 
-def backward(tape, loss):
+def backward(tape, loss, accumulate=False):
     """Populate ``.grad`` on every trainable tensor recorded on ``tape``.
 
     ``loss`` must be a rank-0 tensor produced under the tape. Trainable
     tensors that were recorded but do not influence the loss receive an
-    all-zero gradient; untracked tensors are left untouched.
+    all-zero gradient; untracked tensors are left untouched. With
+    ``accumulate`` a trainable tensor's sum starts from its ``.grad``, if it
+    has one, instead of replacing it: replaying the tapes of several losses
+    one after the other, last recorded first, adds every term in the order
+    one replay of a tape holding them all uses.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
@@ -207,6 +211,9 @@ def backward(tape, loss):
     if not any(out is node for out, _, _ in _leaves(tape._records)):
         raise ValueError("loss was not produced under this tape")
     grads = {id(node): np.ones((), dtype=loss.data.dtype)}
+    if accumulate:
+        grads.update((id(n), n.grad) for _, inputs, _ in _leaves(tape._records)
+                     for n in inputs if isinstance(n, Tensor) and n.grad is not None)
     trainable = {}
     _replay(tape._records, grads, trainable)
     for t in trainable.values():

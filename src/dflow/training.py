@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field, asdict
+from functools import reduce
 from itertools import accumulate, zip_longest
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from ._fields import check_fields
 from .losses import bce_loss, dice_coefficient, focal_loss, silhouette_score
 from .network import DFlowConfig, build_dflow
-from .tensor import GradTape, add, backward, scale
+from .tensor import GradTape, backward, scale
 
 __all__ = [
     "TrainConfig",
@@ -149,7 +151,14 @@ def _val_metrics(model, val_windows, loss_fn):
 
 
 def resume(run, data):
-    """Continue a TrainRun, fresh or loaded, until its configured step budget."""
+    """Continue a TrainRun, fresh or loaded, until its configured step budget.
+
+    A step records one window of its batch at a time, last window first, and
+    replays that window's tape into the parameters' ``.grad`` sums before the
+    next window's forward, so it holds one window's tape whatever the batch
+    size. Its results are bit-identical to replaying one tape over the whole
+    batch. A non-finite loss raises DivergenceError before any parameter or
+    Adam moment changes, and no backward pass runs through its window."""
     config = run.config
     windows = data.get("train", [])
     if not windows:
@@ -167,19 +176,26 @@ def resume(run, data):
         base = (step - 1) * config.batch_size
         batch = [_window_at(windows, config.seed, base + i)
                  for i in range(config.batch_size)]
-        with GradTape() as tape:
-            loss = None
-            for seq in batch:
+        for p in params.values():
+            p.grad = None
+        # last window first: one tape over the batch would replay them in
+        # that order, so every gradient sum is added up in the same order
+        terms = []
+        for seq in reversed(batch):
+            with GradTape() as tape:
                 term = loss_fn(run.model.forward_window(seq.frames), seq.label)
-                loss = term if loss is None else add(loss, term)
-            if config.batch_size > 1:
-                loss = scale(loss, 1.0 / config.batch_size)
-        loss_value = loss.item()
+                loss = term if config.batch_size == 1 else scale(term, 1.0 / config.batch_size)
+            if np.isfinite(loss.data):
+                backward(tape, loss, accumulate=True)
+            terms.append(term.item())
+        del tape  # the last window's, before the update and validation
+        loss_value = reduce(operator.add, reversed(terms))
+        if config.batch_size > 1:
+            loss_value *= 1.0 / config.batch_size
         if not np.isfinite(loss_value):
             raise DivergenceError(
                 f"non-finite training loss {loss_value!r} at step {step} "
                 f"(seed {config.seed}, lr {config.lr})")
-        backward(tape, loss)
 
         if config.optimizer == "sgd":
             for p in params.values():

@@ -7,7 +7,9 @@ formulas) and must stay independent of the implementations it checks.
 import numpy as np
 
 from dflow.network import frames_for_flow
-from dflow.tensor import Tensor, _record, add, conv2d_same, hadamard, scale, sigmoid
+from dflow.tensor import (GradTape, Tensor, _record, add, backward, conv2d_same, hadamard,
+                          scale, sigmoid)
+from dflow.training import CurveRecord, DivergenceError, _loss_fn, _val_metrics, _window_at
 
 
 def conv2d_naive(x, k, b=None):
@@ -318,3 +320,59 @@ def forward_window_sequential(model, frames_rgb):
         features = flow.forward(frames_for_flow(frames_rgb, space))
         fused = features if fused is None else add(fused, features)
     return model._decode(fused)
+
+
+# --- a whole batch on one tape ----------------------------------------------------
+
+
+def resume_one_tape(run, data):
+    """``dflow.training.resume`` as it was when a step recorded every window
+    of its batch on one tape before replaying any of them. The per-window
+    replay must match its parameters, Adam moments, ``.grad`` (sign bits
+    included), curve losses and divergence message bit for bit."""
+    config = run.config
+    windows, val_windows = data["train"], data.get("val", [])
+    loss_fn = _loss_fn(config)
+    params = run.model.parameters()
+    if config.optimizer == "adam":
+        for name, p in params.items():
+            run.adam_m.setdefault(name, np.zeros_like(p.data))
+            run.adam_v.setdefault(name, np.zeros_like(p.data))
+
+    while run.step < config.steps:
+        step = run.step + 1
+        base = (step - 1) * config.batch_size
+        batch = [_window_at(windows, config.seed, base + i)
+                 for i in range(config.batch_size)]
+        with GradTape() as tape:
+            loss = None
+            for seq in batch:
+                term = loss_fn(run.model.forward_window(seq.frames), seq.label)
+                loss = term if loss is None else add(loss, term)
+            if config.batch_size > 1:
+                loss = scale(loss, 1.0 / config.batch_size)
+        loss_value = loss.item()
+        if not np.isfinite(loss_value):
+            raise DivergenceError(
+                f"non-finite training loss {loss_value!r} at step {step} "
+                f"(seed {config.seed}, lr {config.lr})")
+        backward(tape, loss)
+
+        if config.optimizer == "sgd":
+            for p in params.values():
+                p.data -= config.lr * p.grad
+        else:
+            b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+            for name, p in params.items():
+                m = run.adam_m[name] = b1 * run.adam_m[name] + (1 - b1) * p.grad
+                v = run.adam_v[name] = b2 * run.adam_v[name] + (1 - b2) * p.grad ** 2
+                m_hat = m / (1.0 - b1 ** step)
+                v_hat = v / (1.0 - b2 ** step)
+                p.data -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        val_loss = val_dice = None
+        if val_windows and (step % config.eval_interval == 0 or step == config.steps):
+            val_loss, val_dice = _val_metrics(run.model, val_windows, loss_fn)
+        run.curve.append(CurveRecord(step, loss_value, val_loss, val_dice))
+        run.step = step
+    return run

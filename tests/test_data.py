@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -426,17 +425,12 @@ class TestLoadedFrames:
         assert (got.dtype, got.strides, got.shape) == (want.dtype, want.strides, want.shape)
         npt.assert_array_equal(want, samples.reshape(h, w, 3).transpose(2, 0, 1) / maxval)
 
-    def test_frames_hold_about_one_byte_per_8_bit_sample(self, tmp_path):
+    def test_frames_hold_about_one_byte_per_8_bit_sample(self, tmp_path, traced_memory):
         params = SynthSceneParams(width=32, height=32, seed=16)
         synth_generate(params, 4, 6, tmp_path, splits=["train", "train", "val", "test"])
         manifest = load_manifest(tmp_path)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            windows = load_split_windows(manifest, k=2)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        windows = {}
+        retained, _ = traced_memory(lambda: windows.update(load_split_windows(manifest, k=2)))
         n_windows = sum(len(seqs) for seqs in windows.values())
         samples = 4 * 6 * 3 * 32 * 32          # every frame of every source, 1 byte each
         labels = n_windows * 32 * 32 * 8       # each window's float64 label

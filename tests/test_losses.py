@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -245,26 +244,19 @@ class TestSilhouetteOracle:
             silhouette_naive(mask, img, sample_n, seed)
 
 
-def _traced_peak_mib(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 class TestSilhouetteMemory:
     """A cluster's own distances are held a block of rows at a time, so the
     peak is the fg-bg matrix plus O(block * n), not an n x n matrix."""
 
-    def test_desk_window_peak(self):
+    def test_desk_window_peak(self, traced_memory):
         mask, img, _, _ = _own_cluster_case(74, side=32)
-        assert _traced_peak_mib(silhouette_score, mask, img) < 4.0
+        _, peak = traced_memory(silhouette_score, mask, img)
+        assert peak / 2 ** 20 < 4.0
 
-    def test_peak_with_both_classes_at_the_sample_cap(self):
+    def test_peak_with_both_classes_at_the_sample_cap(self, traced_memory):
         mask, img, sample_n, seed = _capped_case()
-        assert _traced_peak_mib(silhouette_score, mask, img, sample_n, seed) < 18.0
+        _, peak = traced_memory(silhouette_score, mask, img, sample_n, seed)
+        assert peak / 2 ** 20 < 18.0
 
 
 class TestPermutationInvariance:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -252,14 +250,14 @@ class TestTapeMemory:
             for obj in (*inputs, *_closure_objects(vjp)):
                 assert not isinstance(obj, Tensor) or id(obj) in params
 
-    def test_held_memory_of_a_desk_window_is_bounded(self):
+    def test_held_memory_of_a_desk_window_is_bounded(self, traced_memory):
         model, frames, label = self.window(np.random.default_rng(0))
-        tracemalloc.start()
-        try:
+
+        def record():
             with GradTape() as tape:
                 loss = bce_loss(model.forward_window(frames), label)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(tape) == 144 and loss.data.shape == ()
+            assert len(tape) == 144 and loss.data.shape == ()
+            return tape, loss
+
+        held, _ = traced_memory(record)
         assert held <= 14 * 2 ** 20

@@ -11,6 +11,7 @@ from dflow.tensor import (
     Tensor,
     add,
     backward,
+    branches,
     conv2d_same,
     conv3d_same,
     hadamard,
@@ -306,6 +307,39 @@ class TestBackward:
         first = w.grad.copy()
         backward(tape, loss)
         npt.assert_array_equal(w.grad, first)
+
+    def test_accumulating_tapes_last_first_equals_one_tape(self):
+        rng = np.random.default_rng(19)
+        ws = [Tensor(rng.uniform(-1, 1, size=(2, 2, 3, 3)), requires_grad=True)
+              for _ in range(2)]
+        xs = [rand(rng, 2, 6, 6) for _ in range(2)]
+
+        def window(x):
+            # each branch reads its kernel twice, so a window adds two terms to its sum
+            a, b = branches([lambda w=w: conv2d_same(tanh(conv2d_same(x, w)), w) for w in ws])
+            return mean_all(hadamard(a, b))
+
+        with GradTape() as tape:
+            loss = add(window(xs[0]), window(xs[1]))
+        backward(tape, loss)
+        one_tape = [w.grad for w in ws]
+        with GradTape() as tape:
+            loss = window(xs[0])
+        backward(tape, loss)
+        first_alone = [w.grad for w in ws]
+
+        for w in ws:
+            w.grad = None
+        for x in reversed(xs):
+            with GradTape() as tape:
+                loss = window(x)
+            backward(tape, loss, accumulate=True)
+        for w, want in zip(ws, one_tape):
+            npt.assert_array_equal(w.grad, want)
+            npt.assert_array_equal(np.signbit(w.grad), np.signbit(want))
+        backward(tape, loss)  # without accumulate, .grad is this tape's own gradient
+        for w, want in zip(ws, first_alone):
+            npt.assert_array_equal(w.grad, want)
 
     @pytest.mark.parametrize("op,dfun", [
         (sigmoid, None), (tanh, None), (log, None),

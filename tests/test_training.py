@@ -33,7 +33,7 @@ from dflow.training import (
 
 from fixtures import v1_checkpoint
 from fuzz import damaged, fuzz_settings
-from oracles import mean_all
+from oracles import mean_all, resume_one_tape
 
 V1_BLOB = v1_checkpoint.CHECKPOINT.read_bytes()
 V1_HEADER_END = 16 + struct.unpack_from("<Q", V1_BLOB, 8)[0]
@@ -129,6 +129,83 @@ class TestTrainLoop:
                     tiny_config(steps=5, eval_interval=2))
         with_val = [r.step for r in run.curve if r.val_loss is not None]
         assert with_val == [2, 4, 5]
+
+
+def fixture_model(use_block, seed=5):
+    return build_dflow(DFlowConfig(flow_a_space="rgb", flow_b_space="yuv", channels=2,
+                                   k=2, use_block=use_block), seed=seed)
+
+
+def curve_array(run):
+    return np.array([[r.step, r.train_loss, r.val_loss, r.val_dice] for r in run.curve],
+                    dtype=np.float64)  # None reads as NaN
+
+
+class TestOneWindowAtATime:
+    """A step records and replays one window's tape at a time, last window
+    first; ``oracles.resume_one_tape`` replays the whole batch from one tape."""
+
+    DATA = {"train": [v1_checkpoint.fixture_window(seed=s) for s in (11, 12, 13)],
+            "val": [v1_checkpoint.fixture_window(seed=14)]}
+
+    @pytest.mark.parametrize("use_block", [False, True], ids=["stack", "block"])
+    @pytest.mark.parametrize("loss", ["bce", "focal"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+    def test_matches_the_one_tape_step_bit_for_bit(self, batch_size, optimizer, loss,
+                                                   use_block):
+        config = TrainConfig(loss=loss, optimizer=optimizer, batch_size=batch_size,
+                             steps=3, lr=1e-2, seed=1, eval_interval=2)
+        got, want = (step_fn(TrainRun(model=fixture_model(use_block), config=config),
+                             self.DATA)
+                     for step_fn in (resume, resume_one_tape))
+        npt.assert_array_equal(curve_array(got), curve_array(want))
+        params = got.model.parameters()
+        for name, p in want.model.parameters().items():
+            npt.assert_array_equal(params[name].data, p.data)
+            npt.assert_array_equal(params[name].grad, p.grad)
+            npt.assert_array_equal(np.signbit(params[name].grad), np.signbit(p.grad))
+        assert got.adam_m.keys() == want.adam_m.keys() == got.adam_v.keys()
+        for name in want.adam_m:
+            npt.assert_array_equal(got.adam_m[name], want.adam_m[name])
+            npt.assert_array_equal(got.adam_v[name], want.adam_v[name])
+
+    def test_step_peak_does_not_grow_with_the_batch(self, traced_memory):
+        data = {"train": [v1_checkpoint.fixture_window(seed=s, side=16) for s in range(4)]}
+
+        def step_peak(batch_size):
+            run = TrainRun(model=fixture_model(use_block=False),
+                           config=TrainConfig(steps=1, batch_size=batch_size))
+            return traced_memory(resume, run, data)[1]
+
+        step_peak(1)  # lazy set-up outside the measured steps
+        one, four = step_peak(1), step_peak(4)
+        assert four <= 1.25 * one, (four, one)
+
+    @pytest.mark.parametrize("seed", [0, 3], ids=["bad_last", "bad_first"])
+    def test_non_finite_window_aborts_before_any_update(self, seed):
+        good = [v1_checkpoint.fixture_window(seed=s) for s in (11, 12)]
+        bad = v1_checkpoint.fixture_window(seed=13)
+        bad.frames[0].pixels[...] = np.nan
+        config = TrainConfig(loss="focal", steps=1, batch_size=2, seed=seed)
+        runs = [TrainRun(model=fixture_model(use_block=True), config=config)
+                for _ in range(2)]
+        for run, step_fn in zip(runs, (resume, resume_one_tape)):
+            step_fn(run, {"train": good})
+            run.config = replace(config, steps=2)
+        run = runs[0]
+        before = (snapshot(run.model), copy.deepcopy(run.adam_m), copy.deepcopy(run.adam_v))
+        # step 2 takes both windows of the two-window split, in either order
+        with pytest.raises(DivergenceError, match="at step 2") as info:
+            resume(run, {"train": [good[0], bad]})
+        with pytest.raises(DivergenceError) as expected:
+            resume_one_tape(runs[1], {"train": [good[0], bad]})
+        assert str(info.value) == str(expected.value)
+        assert run.step == 1 and len(run.curve) == 1
+        for saved, now in zip(before, (snapshot(run.model), run.adam_m, run.adam_v)):
+            assert saved.keys() == now.keys()
+            for name, arr in saved.items():
+                npt.assert_array_equal(now[name], arr)
 
 
 class SinglePixelModel:
