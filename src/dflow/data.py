@@ -13,8 +13,8 @@ Frames are binary PPM (P6), masks binary PGM (P5); both are codec-free so a
 fixed seed regenerates byte-identical datasets. The synthetic scenes put a
 green-dominant moving quadrilateral on a non-green textured background, with
 global brightness drift, flickering green distractor patches outside the
-target, bright in-target line markings (covered by the weak polygon label),
-and Gaussian pixel noise.
+target, one in-target line marking (covered by the weak polygon label), and
+Gaussian pixel noise.
 """
 
 from __future__ import annotations
@@ -101,26 +101,29 @@ def write_pgm16(path, values):
     _write_netpbm(path, "P5", np.clip(np.round(_as_plane(values) * 65535.0), 0, 65535), 65535)
 
 
-def _read_netpbm_header(blob, magic):
+def _read_netpbm_header(path, blob, magic):
+    """Width, height, maxval and the offset of the first sample. Whitespace
+    and comments separate the magic and the three numbers, and exactly one
+    whitespace byte ends the header."""
     if not blob.startswith(magic):
-        raise ValueError(f"not a {magic.decode()} file")
-    # magic, width, height, maxval, separated by whitespace/comments
-    tokens = []
-    pos = len(magic)
-    while len(tokens) < 3:
-        match = re.match(rb"(?:\s+|#[^\n]*\n)*(\d+)", blob[pos:])
+        raise ValueError(f"{path}: not a {magic.decode()} file")
+    tokens, pos = [], len(magic)
+    for name in ("width", "height", "maxval"):
+        match = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)").match(blob, pos)
         if match is None:
-            raise ValueError("truncated netpbm header")
+            raise ValueError(f"{path}: header lacks a whitespace-separated {name}")
         tokens.append(int(match.group(1)))
-        pos += match.end()
-    return tokens[0], tokens[1], tokens[2], pos + 1  # single whitespace after maxval
+        pos = match.end()
+    if not blob[pos:pos + 1].isspace():
+        raise ValueError(f"{path}: no whitespace after maxval")
+    return (*tokens, pos + 1)
 
 
 def _read_netpbm(path, magic, channels):
     """The integer samples of a binary netpbm file in file order,
     (H, W, channels) and still a view of the file's bytes, and its maxval."""
     blob = Path(path).read_bytes()
-    w, h, maxval, offset = _read_netpbm_header(blob, magic)
+    w, h, maxval, offset = _read_netpbm_header(path, blob, magic)
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: maxval {maxval} is outside 1..65535")
     dtype = _sample_dtype(maxval)
@@ -160,8 +163,8 @@ class DatasetManifest:
     sources: list
 
 
-def save_manifest(manifest, path=None):
-    path = Path(path) if path else Path(manifest.root) / "manifest.json"
+def save_manifest(manifest):
+    path = Path(manifest.root) / "manifest.json"
     doc = {"version": 1, "sources": [asdict(s) for s in manifest.sources]}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
@@ -260,16 +263,16 @@ class FrameSequence:
         return len(self.frames)
 
 
-def window_sequences(manifest, k, split=None):
-    """Yield sliding windows of k+1 frames (stride 1), never crossing source
-    boundaries; sources shorter than k+1 are skipped with a warning. Label is
-    the final frame's mask. Frames keep their file's samples, one image per
-    frame shared by every window that holds it."""
+def window_sequences(manifest, k, split):
+    """Yield the ``split`` sources' sliding windows of k+1 frames (stride 1),
+    never crossing source boundaries; sources shorter than k+1 are skipped
+    with a warning. Label is the final frame's mask. Frames keep their file's
+    samples, one image per frame shared by every window that holds it."""
     if k < 0:
         raise ValueError("k must be >= 0")
     need = k + 1
     for src in manifest.sources:
-        if split is not None and src.split != split:
+        if src.split != split:
             continue
         if len(src.frames) < need:
             warnings.warn(f"source {src.id} has {len(src.frames)} frames, "
@@ -294,6 +297,10 @@ def load_split_windows(manifest, k):
 
 # --- synthetic scenes ----------------------------------------------------------
 
+# the least amount by which green exceeds red and blue on the target and on
+# a visible distractor, before drift and noise
+GREEN_MARGIN = 0.1
+
 
 @dataclass(frozen=True)
 class SynthSceneParams:
@@ -304,20 +311,16 @@ class SynthSceneParams:
     distractor_count: int = 2
     flicker_rate: float = 0.5
     noise_level: float = 0.02
-    green_margin: float = 0.1
-    line_count: int = 1
-    motion_amplitude: float = 0.12   # fraction of image size the centre sweeps
 
     def __post_init__(self):
         check_fields(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
-        for name in ("brightness_drift", "flicker_rate", "noise_level",
-                     "green_margin", "motion_amplitude"):
+        for name in ("brightness_drift", "flicker_rate", "noise_level"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.distractor_count < 0 or self.line_count < 0:
+        if self.distractor_count < 0:
             raise ValueError("counts must be non-negative")
         if self.distractor_count > 0 and min(self.width, self.height) < 2:  # patches are 2+ px
             raise ValueError(f"distractor_count must be 0 when width or height is below 2, got "
@@ -358,7 +361,8 @@ def _convex_quad(rng, cx, cy, radius):
     return np.stack([xs, ys], axis=1)
 
 
-def _bilinear_field(rng, height, width, grid=5):
+def _bilinear_field(rng, height, width):
+    grid = 5
     coarse = rng.uniform(0.0, 1.0, size=(grid, grid))
     gy = np.linspace(0, grid - 1, height)
     gx = np.linspace(0, grid - 1, width)
@@ -398,23 +402,20 @@ def _generate_sequence(params, seq_index, length):
 
     # target fill: green exceeds the other channels by margin + headroom
     q = rng.uniform(0.25, 0.40)
-    fill = np.array([q, q + params.green_margin + 0.15, q])
+    fill = np.array([q, q + GREEN_MARGIN + 0.15, q])
 
     radius = rng.uniform(0.26, 0.34) * min(h, w)
     c0 = np.array([w / 2.0, h / 2.0]) + rng.uniform(-0.08, 0.08, size=2) * min(h, w)
     quad0 = _convex_quad(rng, c0[0], c0[1], radius)
-    amp = params.motion_amplitude * min(h, w)
+    amp = 0.12 * min(h, w)  # the centre sweeps 12% of the image size
     omega = 2.0 * np.pi / max(length, 2)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
 
     drift_phase = rng.uniform(0.0, 2.0 * np.pi)
 
-    # line markings inside the target: brighter on all channels equally so
-    # green dominance (and therefore the weak label) is unaffected
-    line_endpoints = []
-    for _ in range(params.line_count):
-        offs = rng.uniform(-0.6, 0.6, size=(2, 2)) * radius
-        line_endpoints.append(offs)
+    # one in-target line marking: brighter on all channels equally so green
+    # dominance (and therefore the weak label) is unaffected
+    line_offsets = rng.uniform(-0.6, 0.6, size=(2, 2)) * radius
 
     patch = max(2, min(h, w) // 10)
     frames, masks, polygons = [], [], []
@@ -426,11 +427,8 @@ def _generate_sequence(params, seq_index, length):
 
         img = np.stack([base_r, base_g, base_b]).copy()
         img[:, mask > 0] = fill[:, None]
-        for offs in line_endpoints:
-            p0 = quad.mean(axis=0) + offs[0]
-            p1 = quad.mean(axis=0) + offs[1]
-            line = _segment_mask(p0, p1, h, w) & (mask > 0)
-            img[:, line] += 0.25
+        p0, p1 = quad.mean(axis=0) + line_offsets
+        img[:, _segment_mask(p0, p1, h, w) & (mask > 0)] += 0.25
 
         for _ in range(params.distractor_count):
             visible = rng.random() < params.flicker_rate
@@ -444,7 +442,7 @@ def _generate_sequence(params, seq_index, length):
             if visible:
                 q2 = rng.uniform(0.2, 0.4)
                 img[0, y0:y0 + patch, x0:x0 + patch] = q2
-                img[1, y0:y0 + patch, x0:x0 + patch] = q2 + params.green_margin + 0.2
+                img[1, y0:y0 + patch, x0:x0 + patch] = q2 + GREEN_MARGIN + 0.2
                 img[2, y0:y0 + patch, x0:x0 + patch] = q2
 
         img += params.brightness_drift * np.sin(omega * t + drift_phase)
@@ -456,14 +454,12 @@ def _generate_sequence(params, seq_index, length):
     return frames, masks, polygons
 
 
-def synth_generate(params, n_sequences, length, root, splits=None):
+def synth_generate(params, n_sequences, length, root, splits):
     """Write ``n_sequences`` sources of ``length`` frames under ``root`` and
-    return the saved manifest. ``splits`` optionally assigns one split tag per
-    sequence (default: all train). Byte-identical for a fixed seed."""
+    return the saved manifest. ``splits`` assigns one split tag per sequence.
+    Byte-identical for a fixed seed."""
     if length < 1 or n_sequences < 1:
         raise ValueError("need at least one sequence of at least one frame")
-    if splits is None:
-        splits = ["train"] * n_sequences
     if len(splits) != n_sequences:
         raise ValueError("splits must assign one tag per sequence")
     root = Path(root)

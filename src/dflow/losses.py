@@ -34,8 +34,8 @@ def validate_label_mask(label):
     return lab
 
 
-def _label_and_clamp(p, y, eps):
-    """The label as a binary array, p clipped to [eps, 1-eps], and the mask
+def _label_and_clamp(p, y):
+    """The binary label, p clipped to [CLAMP_EPS, 1-CLAMP_EPS], and the mask
     where the clip is inactive. An empty prediction has no mean loss."""
     pd = p.data
     if pd.size == 0:
@@ -43,7 +43,8 @@ def _label_and_clamp(p, y, eps):
     yd = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if yd.shape != pd.shape:
         raise ValueError(f"label shape {yd.shape} does not match prediction {pd.shape}")
-    return validate_label_mask(yd), np.clip(pd, eps, 1.0 - eps), (pd > eps) & (pd < 1.0 - eps)
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    return validate_label_mask(yd), np.clip(pd, lo, hi), (pd > lo) & (pd < hi)
 
 
 def _mean_loss(p, terms, interior, grad_pc):
@@ -59,10 +60,10 @@ def _mean_loss(p, terms, interior, grad_pc):
     return _record((terms.sum() / n) * -1.0, (p,), vjp)
 
 
-def bce_loss(p, y, eps=CLAMP_EPS):
+def bce_loss(p, y):
     """Mean binary cross entropy -[y ln p + (1-y) ln(1-p)], p clamped to
-    [eps, 1-eps]."""
-    yd, pc, interior = _label_and_clamp(p, y, eps)
+    [CLAMP_EPS, 1-CLAMP_EPS]."""
+    yd, pc, interior = _label_and_clamp(p, y)
     omy, omp = 1.0 - yd, 1.0 - pc
     terms = yd * np.log(pc) + omy * np.log(omp)
 
@@ -72,7 +73,7 @@ def bce_loss(p, y, eps=CLAMP_EPS):
     return _mean_loss(p, terms, interior, grad_pc)
 
 
-def focal_loss(p, y, alpha=0.25, gamma=2.0, eps=CLAMP_EPS):
+def focal_loss(p, y, alpha=0.25, gamma=2.0):
     """Mean focal loss -alpha_t (1 - p_t)^gamma ln p_t.
 
     p_t is p where y = 1 and 1-p otherwise; alpha_t is alpha on positives and
@@ -82,7 +83,7 @@ def focal_loss(p, y, alpha=0.25, gamma=2.0, eps=CLAMP_EPS):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    yd, pc, interior = _label_and_clamp(p, y, eps)
+    yd, pc, interior = _label_and_clamp(p, y)
     omy, omp = 1.0 - yd, 1.0 - pc
     alpha_t = alpha * yd + (1.0 - alpha) * omy
     pt = yd * pc + omy * omp

@@ -207,31 +207,31 @@ def backward(tape, loss, accumulate=False):
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if not tape._records:
         raise ValueError("cannot backpropagate through an empty tape")
-    node = loss._node
-    if not any(out is node for out, _, _ in _leaves(tape._records)):
+    node, produced, trainable = loss._node, False, {}
+    for out, inputs, _ in _leaves(tape._records):
+        produced = produced or out is node
+        for n in inputs:
+            if isinstance(n, Tensor):
+                trainable[id(n)] = n
+    if not produced:
         raise ValueError("loss was not produced under this tape")
     grads = {id(node): np.ones((), dtype=loss.data.dtype)}
     if accumulate:
-        grads.update((id(n), n.grad) for _, inputs, _ in _leaves(tape._records)
-                     for n in inputs if isinstance(n, Tensor) and n.grad is not None)
-    trainable = {}
-    _replay(tape._records, grads, trainable)
+        grads.update((i, t.grad) for i, t in trainable.items() if t.grad is not None)
+    _replay(tape._records, grads)
     for t in trainable.values():
         g = grads.get(id(t))
         t.grad = np.array(g) if g is not None else np.zeros_like(t.data)
 
 
-def _replay(records, grads, trainable):
+def _replay(records, grads):
     """Run ``records``' vjps in reverse, summing into ``grads`` (node id ->
-    running sum) and collecting the trainable inputs into ``trainable``."""
+    running sum)."""
     for rec in reversed(records):
         if isinstance(rec, _Branches):
-            _replay_branches(rec, grads, trainable)
+            _replay_branches(rec, grads)
             continue
         out, inputs, vjp = rec
-        for n in inputs:
-            if isinstance(n, Tensor) and id(n) not in trainable:
-                trainable[id(n)] = n
         g = grads.pop(id(out), None)
         if g is None:
             continue
@@ -242,17 +242,14 @@ def _replay(records, grads, trainable):
             grads[id(n)] = ig if acc is None else acc + ig
 
 
-def _replay_branches(entry, grads, trainable):
+def _replay_branches(entry, grads):
     # Each sub-tape takes over the running sums of the nodes it touches and
     # hands them back afterwards: no two sub-tapes touch the same node, so
     # every sum grows in the order a sequential replay would add it up.
     owned = [{i: grads.pop(i) for i in touched if i in grads} for touched in entry.touched]
-    found = [{} for _ in entry.tapes]
-    _run_all([partial(_replay, tape._records, g, tr)
-              for tape, g, tr in zip(entry.tapes, owned, found)])
-    for g, tr in zip(owned, found):
+    _run_all([partial(_replay, tape._records, g) for tape, g in zip(entry.tapes, owned)])
+    for g in owned:
         grads.update(g)
-        trainable.update(tr)
 
 
 # --- concurrent branches -------------------------------------------------------

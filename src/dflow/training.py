@@ -267,11 +267,12 @@ def _relative_error(a, f):
     return abs(a - f) / max(abs(a), abs(f), 1e-5)
 
 
-def gradcheck(model, sample, loss="bce", tolerance=1e-4, h=1e-6):
+def gradcheck(model, sample, loss="bce", tolerance=1e-4):
     """Compare every parameter's analytic gradient against central finite
-    differences on one sample window. Restricted to small models (<= 5000
-    parameters) since each entry costs two forward passes. ``loss`` is
-    "bce", "focal", or any callable (probs, label) -> scalar tensor."""
+    differences, with a fixed step of 1e-6, on one sample window.
+    Restricted to small models (<= 5000 parameters) since each entry costs
+    two forward passes. ``loss`` is "bce", "focal", or any callable
+    (probs, label) -> scalar tensor."""
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     params = model.parameters()
@@ -279,6 +280,7 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4, h=1e-6):
     if total > 5000:
         raise ValueError(f"model has {total} parameters; gradcheck is capped at 5000")
     loss_fn = loss if callable(loss) else _loss_fn(TrainConfig(loss=loss))
+    h = 1e-6
 
     def forward_loss():
         return loss_fn(model.forward_window(sample.frames), sample.label).item()

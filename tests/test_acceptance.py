@@ -87,7 +87,7 @@ def test_criterion_2_gradient_correctness():
     frames = [ColorImage(rng.uniform(0, 1, size=(3, 6, 6)), "rgb") for _ in range(3)]
     label = (rng.uniform(size=(1, 6, 6)) > 0.5).astype(np.float64)
     sample = FrameSequence(frames=frames, label=label)
-    report = gradcheck(model, sample, loss="bce", tolerance=1e-4, h=1e-6)
+    report = gradcheck(model, sample, loss="bce", tolerance=1e-4)
     elapsed = time.perf_counter() - start
     assert report.passed, str(report)
     assert elapsed < 120.0, f"gradcheck took {elapsed:.1f}s"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -10,9 +12,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 
-from dflow import recurrent
+from dflow import cli, recurrent
+from dflow.baselines import ThresholdParams
 from dflow.cli import main
-from dflow.data import read_pgm
+from dflow.data import SynthSceneParams, read_pgm
 from dflow.training import load_checkpoint
 
 from fixtures import v1_checkpoint
@@ -254,6 +257,19 @@ class TestInferEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
+
+    def test_frame_without_whitespace_after_maxval_is_a_one_line_runtime_error(
+            self, dataset_dir, trained_dir, tmp_path, capsys):
+        data_dir = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data_dir)
+        frame = data_dir / "seq_002" / "frame_00004.ppm"  # the val source's last frame
+        frame.write_bytes(b"P6\n8 8\n255X" + bytes(8 * 8 * 3))
+        rc = main(["infer", "--checkpoint", str(trained_dir / "checkpoint.dflw"),
+                   "--dataset", str(data_dir), "--out", str(tmp_path / "out"),
+                   "--split", "val"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"runtime error: {frame}: "
+                                           "no whitespace after maxval\n")
 
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_empty_split_is_a_runtime_error(self, dataset_dir, trained_dir, tmp_path,
@@ -590,3 +606,23 @@ class TestResolvedConfig:
         assert main([*argv, "--out", "o"]) == rc
         assert Path("o/resolved_config.json").read_text() == (
             json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("argv, cls", [
+        (["synth", "--train", "1", "--val", "0", "--frames", "1", "--width", "2",
+          "--height", "2"], SynthSceneParams),
+        (["baseline", "mean", "--dataset", "missing"], ThresholdParams),
+        (["params"], recurrent.UnitHyperparams),
+    ], ids=["synth", "baseline", "params"])
+    def test_every_field_of_a_built_config_has_a_flag(self, tmp_path, monkeypatch, argv, cls):
+        # DFlowConfig and TrainConfig are left out: their fields are the keys
+        # of the checkpoint header, and the benchmark and tests set them
+        passed, valid = {}, cli._valid
+
+        def spy(config_cls, **values):
+            passed[config_cls] = set(values)
+            return valid(config_cls, **values)
+
+        monkeypatch.setattr(cli, "_valid", spy)
+        monkeypatch.chdir(tmp_path)
+        main([*argv, "--out", "o"])
+        assert passed[cls] == {f.name for f in dataclasses.fields(cls)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 
 from dflow.color import ColorImage
 from dflow.data import (
+    GREEN_MARGIN,
     DatasetManifest,
     FrameSequence,
     ManifestError,
@@ -127,6 +129,26 @@ class TestNetpbm:
         with pytest.raises(ValueError, match="short.pnm"):
             reader(path)
 
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("rest, named", [
+        (b"\n1 1\n255XABC", "no whitespace after maxval"),
+        (b"\n1 1\n255", "no whitespace after maxval"),
+        (b"2 2\n255\n" + b"\x00" * 12, "header lacks a whitespace-separated width"),
+        (b"\n1 1\n", "header lacks a whitespace-separated maxval"),
+        (b"\n1x1\n255\n\x00\x00\x00", "header lacks a whitespace-separated height"),
+    ], ids=["byte_after_maxval", "ends_at_maxval", "glued_magic", "no_maxval", "glued_height"])
+    def test_malformed_header_names_the_file(self, tmp_path, reader, magic, rest, named):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(magic + rest)
+        with pytest.raises(ValueError, match=f"bad.pnm: {named}"):
+            reader(path)
+
+    @pytest.mark.parametrize("separator", [b" ", b"\t", b"\r", b"\n"])
+    def test_one_whitespace_byte_of_any_kind_ends_the_header(self, tmp_path, separator):
+        path = tmp_path / "ok.ppm"
+        path.write_bytes(b"P6#c\n1\t1 # c\n255" + separator + b"\x00\x80\xff")
+        npt.assert_array_equal(read_ppm(path)[:, 0, 0], [0.0, 128 / 255, 1.0])
+
     @fuzz_settings
     @given(damaged(PPM_BLOB), damaged(PGM16_BLOB))
     def test_truncated_or_flipped_file_reads_or_is_a_value_error(self, tmp_path, ppm, pgm):
@@ -246,27 +268,27 @@ class TestWindowing:
 
     def test_window_count_single_source(self, tmp_path):
         params = SynthSceneParams(width=8, height=8, seed=7)
-        manifest = synth_generate(params, 1, 10, tmp_path)
-        assert len(list(window_sequences(manifest, k=4))) == 6
+        manifest = synth_generate(params, 1, 10, tmp_path, ["train"])
+        assert len(list(window_sequences(manifest, k=4, split="train"))) == 6
 
     def test_exactly_k_plus_one_frames_gives_one_window(self, tmp_path):
         params = SynthSceneParams(width=8, height=8, seed=8)
-        manifest = synth_generate(params, 1, 5, tmp_path)
-        windows = list(window_sequences(manifest, k=4))
+        manifest = synth_generate(params, 1, 5, tmp_path, ["train"])
+        windows = list(window_sequences(manifest, k=4, split="train"))
         assert len(windows) == 1
         assert len(windows[0]) == 5
 
     def test_windows_never_mix_sources(self, dataset):
-        windows = list(window_sequences(dataset, k=4))
+        windows = list(window_sequences(dataset, k=4, split="train"))
         assert len(windows) == 4  # two sources x (6 - 5 + 1) each
         assert {w.source_id for w in windows} == {"seq_000", "seq_001"}
 
     def test_short_sources_are_skipped_with_warning(self, dataset):
         with pytest.warns(UserWarning, match="fewer than"):
-            assert list(window_sequences(dataset, k=9)) == []
+            assert list(window_sequences(dataset, k=9, split="train")) == []
 
     def test_label_is_final_frame_mask(self, dataset):
-        w = next(window_sequences(dataset, k=2))
+        w = next(window_sequences(dataset, k=2, split="train"))
         label = read_pgm(dataset.root / dataset.sources[0].labels[2])
         npt.assert_array_equal(w.label, label)
 
@@ -295,14 +317,31 @@ class TestSynthGenerate:
     def test_same_seed_is_byte_identical(self, tmp_path):
         params = SynthSceneParams(width=16, height=16, seed=10)
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        synth_generate(params, 2, 4, a_dir)
-        synth_generate(params, 2, 4, b_dir)
+        synth_generate(params, 2, 4, a_dir, ["train"] * 2)
+        synth_generate(params, 2, 4, b_dir, ["train"] * 2)
         for rel in sorted(p.relative_to(a_dir) for p in a_dir.rglob("*") if p.is_file()):
             assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("size, seed, distractors, want", [
+        (8, 3, 0, "5fe0329d01ffcbc1bf4cee7ad5c60e36eaf7bd8e161e1e32a3fd6dc03ba17988"),
+        (24, 7, 3, "1753242824b2ac396a562ddb3e8d681f24565bf4e33402ef9c03ba2db23bde92"),
+    ])
+    def test_bytes_are_pinned(self, tmp_path, size, seed, distractors, want):
+        # a SHA-256 over every file's path and SHA-256: unlike two runs of one
+        # commit, this catches a change that alters any byte from one commit
+        # to the next
+        params = SynthSceneParams(width=size, height=size, seed=seed,
+                                  distractor_count=distractors)
+        synth_generate(params, 2, 3, tmp_path, ["train", "val"])
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(str(path.relative_to(tmp_path)).encode() + b"\0"
+                          + hashlib.sha256(path.read_bytes()).digest())
+        assert digest.hexdigest() == want
+
     def test_manifest_counts(self, tmp_path):
         params = SynthSceneParams(width=8, height=8, seed=11)
-        manifest = synth_generate(params, 3, 8, tmp_path)
+        manifest = synth_generate(params, 3, 8, tmp_path, ["train"] * 3)
         assert len(manifest.sources) == 3
         assert all(len(s.frames) == 8 and len(s.labels) == 8
                    for s in manifest.sources)
@@ -311,18 +350,18 @@ class TestSynthGenerate:
         params = SynthSceneParams(width=24, height=24, seed=12,
                                   brightness_drift=0.0, distractor_count=0,
                                   noise_level=0.0)
-        manifest = synth_generate(params, 1, 4, tmp_path)
+        manifest = synth_generate(params, 1, 4, tmp_path, ["train"])
         src = manifest.sources[0]
         for frame_rel, label_rel in zip(src.frames, src.labels):
             px = read_ppm(manifest.root / frame_rel)
             label = read_pgm(manifest.root / label_rel)[0]
-            margin = params.green_margin
+            margin = GREEN_MARGIN
             dominant = (px[1] > px[0] + margin) & (px[1] > px[2] + margin)
             npt.assert_array_equal(dominant.astype(float), label)
 
     def test_stored_polygons_rerasterize_to_stored_masks(self, tmp_path):
         params = SynthSceneParams(width=16, height=16, seed=13)
-        manifest = synth_generate(params, 2, 3, tmp_path)
+        manifest = synth_generate(params, 2, 3, tmp_path, ["train"] * 2)
         # go through the JSON round trip deliberately
         doc = json.loads((manifest.root / "manifest.json").read_text())
         for src in doc["sources"]:
@@ -334,12 +373,12 @@ class TestSynthGenerate:
         params = SynthSceneParams(width=24, height=24, seed=14,
                                   brightness_drift=0.0, distractor_count=3,
                                   flicker_rate=1.0, noise_level=0.0)
-        manifest = synth_generate(params, 1, 4, tmp_path)
+        manifest = synth_generate(params, 1, 4, tmp_path, ["train"])
         src = manifest.sources[0]
         for frame_rel, label_rel in zip(src.frames, src.labels):
             px = read_ppm(manifest.root / frame_rel)
             label = read_pgm(manifest.root / label_rel)[0]
-            margin = params.green_margin
+            margin = GREEN_MARGIN
             dominant = (px[1] > px[0] + margin) & (px[1] > px[2] + margin)
             # green-dominant pixels exist outside the label (the distractors),
             # and inside the label everything is green-dominant
