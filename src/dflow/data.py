@@ -124,6 +124,8 @@ def _read_netpbm(path, magic, channels):
     (H, W, channels) and still a view of the file's bytes, and its maxval."""
     blob = Path(path).read_bytes()
     w, h, maxval, offset = _read_netpbm_header(path, blob, magic)
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: size {w}x{h} has no pixels")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: maxval {maxval} is outside 1..65535")
     dtype = _sample_dtype(maxval)
@@ -321,7 +323,7 @@ class SynthSceneParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.distractor_count < 0:
-            raise ValueError("counts must be non-negative")
+            raise ValueError(f"distractor_count must be non-negative, got {self.distractor_count}")
         if self.distractor_count > 0 and min(self.width, self.height) < 2:  # patches are 2+ px
             raise ValueError(f"distractor_count must be 0 when width or height is below 2, got "
                              f"distractor_count={self.distractor_count}, width={self.width}, "

@@ -8,12 +8,13 @@ for a same-size 2D convolution:
 
 with * the padded cross-correlation and o the elementwise product. A step
 records the four convs, the fused gate (``mgu_forget``), the gated state
-f_t o h_{t-1} and the fused update (``mgu_update``): 7 tape records. The block
-stacks two cells and adds a 3D-conv shortcut from the raw input frames to
-the final step's output. Parameter-count formulas for the two-layer ConvLSTM,
-the block, and the plain two-layer stack are implemented exactly as printed
-(they charge (gamma + kappa) input channels to both layers, which overstates
-layer 2); ``count_actual_params`` reports the true constructed sizes.
+f_t o h_{t-1} and the fused update (``mgu_update``): 7 tape records; the zero
+``initial_state`` makes the first step skip U_f, U_h and the gated state. The
+block stacks two cells and adds a 3D-conv shortcut from the raw frames to the
+final step's output. Parameter-count formulas for the two-layer ConvLSTM, the
+block and the plain stack are implemented exactly as printed (they charge
+(gamma + kappa) input channels to both layers, which overstates layer 2);
+``count_actual_params`` reports the true constructed sizes.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ spatial axes; im2col copies a strided view of the zero-padded input once.
 mgu_forget and mgu_update are the ConvMGU cell's point-wise ops, each one
 tape record with a hand-written vjp that returns the same terms, in the same
 order, as the primitive chain it replaces, so results keep their bits.
+zeros() returns a read-only :class:`Zero`: an unbiased conv of one and a
+product with one return a new Zero at once, with no work and no tape record.
 
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
@@ -103,8 +105,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+class Zero(Tensor):
+    """An untracked all-zero tensor: a read-only view of one zero."""
+
+    def __init__(self, shape, dtype=np.float64):
+        super().__init__(np.broadcast_to(np.zeros((), dtype), shape))
+
+
 def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape), requires_grad=True) if requires_grad else Zero(shape)
 
 
 # --- tape ------------------------------------------------------------------
@@ -113,11 +122,9 @@ _TLS = threading.local()
 
 
 def _tape_stack():
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+    if not hasattr(_TLS, "stack"):
+        _TLS.stack = []
+    return _TLS.stack
 
 
 class _Node:
@@ -138,6 +145,7 @@ class GradTape:
 
     def __init__(self):
         self._records = []
+        self._params = []  # parameters read only by ops that returned a Zero
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -192,12 +200,19 @@ def _record(y, inputs, vjp):
     return out
 
 
+def _zero_output(shape, dtype, inputs):
+    """An op's Zero output: no record, but backward gives its parameters a gradient."""
+    for tape in _tape_stack()[-1:]:  # the active tape, if there is one
+        tape._params.extend(t for t in inputs if t._node is t)
+    return Zero(shape, dtype)
+
+
 def backward(tape, loss, accumulate=False):
     """Populate ``.grad`` on every trainable tensor recorded on ``tape``.
 
     ``loss`` must be a rank-0 tensor produced under the tape. Trainable
-    tensors that were recorded but do not influence the loss receive an
-    all-zero gradient; untracked tensors are left untouched. With
+    tensors recorded, or read by an op that returned a :class:`Zero`, that do
+    not influence the loss get an all-zero gradient; untracked ones do not. With
     ``accumulate`` a trainable tensor's sum starts from its ``.grad``, if it
     has one, instead of replacing it: replaying the tapes of several losses
     one after the other, last recorded first, adds every term in the order
@@ -207,12 +222,10 @@ def backward(tape, loss, accumulate=False):
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if not tape._records:
         raise ValueError("cannot backpropagate through an empty tape")
-    node, produced, trainable = loss._node, False, {}
+    node, produced, trainable = loss._node, False, {id(p): p for p in tape._params}
     for out, inputs, _ in _leaves(tape._records):
         produced = produced or out is node
-        for n in inputs:
-            if isinstance(n, Tensor):
-                trainable[id(n)] = n
+        trainable.update((id(n), n) for n in inputs if isinstance(n, Tensor))
     if not produced:
         raise ValueError("loss was not produced under this tape")
     grads = {id(node): np.ones((), dtype=loss.data.dtype)}
@@ -310,6 +323,7 @@ def branches(fns):
     tapes = [GradTape() for _ in fns]
     results = _run_all([partial(_on_tape, tape, fn) for fn, tape in zip(fns, tapes)])
     stack[-1]._records.append(_Branches(tapes))
+    stack[-1]._params.extend(p for tape in tapes for p in tape._params)
     return results
 
 
@@ -327,19 +341,22 @@ def _require_same_shape(a, b, op):
 
 
 def _sigmoid_values(x):
-    # exp of a non-positive argument only, so no overflow at either tail;
-    # one division gives 1/(1+z) where x >= 0 and z/(1+z) elsewhere
-    # (0 <= z <= 1, so the maximum with the bool mask picks 1 or z)
-    z = np.exp(-np.abs(x))
-    return np.maximum(z, x >= 0) / (1.0 + z)
+    # exp of a non-positive argument only, so no overflow at either tail; one
+    # division gives 1/(1+z) where x >= 0 and z/(1+z) elsewhere (0 <= z <= 1, so
+    # the maximum with the bool mask picks 1 or z); asarray lets out= take 0-d x
+    z = np.asarray(np.abs(x))
+    np.exp(np.negative(z, out=z), out=z)
+    return np.divide(np.maximum(z, x >= 0), np.add(1.0, z, out=z), out=z)
+
+
+def _times(d, g):
+    """d * g, written into d if it is an array."""
+    d *= g
+    return d
 
 
 def _d_sigmoid(y):
-    return y * (1.0 - y)
-
-
-def _d_tanh(y):
-    return 1.0 - y * y
+    return _times(1.0 - y, y)
 
 
 def sigmoid(a):
@@ -347,7 +364,7 @@ def sigmoid(a):
     y = _sigmoid_values(a.data)
 
     def vjp(g):
-        return (g * _d_sigmoid(y),)
+        return (_times(_d_sigmoid(y), g),)
 
     return _record(y, (a,), vjp)
 
@@ -366,6 +383,8 @@ def hadamard(a, b):
     """Elementwise product; shapes must match exactly."""
     _require_same_shape(a, b, "hadamard")
     ad, bd = a.data, b.data
+    if isinstance(a, Zero) or isinstance(b, Zero):
+        return _zero_output(ad.shape, np.result_type(ad, bd), (a, b))
 
     def vjp(g):
         return (g * bd, g * ad)
@@ -409,7 +428,7 @@ def mgu_forget(a, b):
     y = _sigmoid_values(a.data + b.data)
 
     def vjp(g):
-        gz = g * _d_sigmoid(y)
+        gz = _times(_d_sigmoid(y), g)
         return (gz, gz)
 
     return _record(y, (a, b), vjp)
@@ -420,15 +439,18 @@ def mgu_update(f, c1, c2, h_prev):
     for t in (c1, c2, h_prev):
         _require_same_shape(f, t, "mgu_update")
     fd, hd = f.data, h_prev.data
-    cand = np.tanh(c1.data + c2.data)
+    cand = np.asarray(c1.data + c2.data)
+    np.tanh(cand, out=cand)
     need_h = h_prev._node is not None  # a constant initial state needs no gradient
 
     def vjp(g):
-        gc = (g * fd) * _d_tanh(cand)
-        gh = g * (1.0 - fd) if need_h else None
-        return (g * cand + -(g * hd), gc, gc, gh)
+        gc = _times(1.0 - cand * cand, g * fd)  # times the tanh derivative
+        gh = _times(1.0 - fd, g) if need_h else None
+        return (g * cand - g * hd, gc, gc, gh)  # a - b is a + -b, bit for bit
 
-    return _record((1.0 - fd) * hd + fd * cand, (f, c1, c2, h_prev), vjp)
+    y = _times(1.0 - fd, hd)
+    y += fd * cand
+    return _record(y, (f, c1, c2, h_prev), vjp)
 
 
 # --- convolution ------------------------------------------------------------
@@ -493,9 +515,11 @@ def _flip_kernel(kd):
 def _conv_same(x, kernel, bias, nd):
     xd, kd = x.data, kernel.data
     _check_conv(xd, kd, bias, nd)
+    if bias is None and isinstance(x, Zero):
+        return _zero_output((kd.shape[0],) + xd.shape[1:], np.result_type(xd, kd), (x, kernel))
     y = _conv_forward(xd, kd)
     if bias is not None:
-        y = y + bias.data.reshape(-1, *(1,) * nd)
+        y += bias.data.reshape(-1, *(1,) * nd)
     cout, m = kd.shape[0], kd.shape[-1]
     need_x, need_k = x._node is not None, kernel._node is not None
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -509,9 +533,7 @@ def _conv_same(x, kernel, bias, nd):
             gk = gk.reshape(kd.shape)
         if need_x:
             gx = _conv_forward(g, _flip_kernel(kd))
-        if bias is None:
-            return (gx, gk)
-        return (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))
+        return (gx, gk) if bias is None else (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))
 
     return _record(y, inputs, vjp)
 

@@ -78,7 +78,7 @@ class TestSynth:
         ("--noise", "-1", "noise_level must lie in [0, 1], got -1.0"),
         ("--flicker", "5", "flicker_rate must lie in [0, 1], got 5.0"),
         ("--drift", "2", "brightness_drift must lie in [0, 1], got 2.0"),
-        ("--distractors", "-1", "counts must be non-negative"),
+        ("--distractors", "-1", "distractor_count must be non-negative, got -1"),
     ])
     def test_out_of_range_scene_value_is_rejected_before_writing(self, tmp_path, capsys,
                                                                  flag, value, named):

@@ -122,6 +122,15 @@ class TestNetpbm:
             reader(path)
 
     @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0)])
+    def test_frame_without_pixels_names_the_file_and_size(self, tmp_path, reader, magic,
+                                                          width, height):
+        path = tmp_path / "empty.pnm"
+        path.write_bytes(magic + f"\n{width} {height}\n255\n".encode())
+        with pytest.raises(ValueError, match=f"empty.pnm: size {width}x{height} has no pixels"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_short_payload_names_the_file(self, tmp_path, reader, magic, maxval):
         path = tmp_path / "short.pnm"

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,10 +13,10 @@ from dflow.network import (
     build_dflow,
     frames_for_flow,
 )
-from dflow.recurrent import count_actual_params
-from dflow.tensor import GradTape, Tensor, _leaves, _Node, backward
+from dflow.recurrent import ConvMguStack2, count_actual_params
+from dflow.tensor import GradTape, Tensor, _leaves, _Node, backward, branches
 
-from oracles import cell_weight_arrays, finite_difference, rel_err, stack2_naive
+from oracles import cell_weight_arrays, finite_difference, mean_all, rel_err, stack2_naive
 
 
 def rand_frames(rng, n, side=8):
@@ -195,15 +197,16 @@ class TestEndToEndGradient:
 
 class TestTapeRecords:
     """Records one training window puts on the tape (forward plus loss), at
-    k = 4 with two flows: 20 cell steps of 7 records (4 convs, the fused
-    gate, the gated state, the fused update), the flow sum, the decoder's
-    conv and sigmoid, and one loss record; each block adds its 3D conv,
-    time slice and residual add. The counts do not depend on the frame size
-    or the channel count."""
+    k = 4 with two flows: 16 cell steps of 7 records (4 convs, the fused
+    gate, the gated state, the fused update) and 4 first steps of 4 (their
+    zero state skips U_f, U_h and the gated state), the flow sum, the
+    decoder's conv and sigmoid, and one loss record: 112 + 16 + 4 = 132.
+    Each block adds its 3D conv, time slice and residual add: 138. The
+    counts do not depend on the frame size or the channel count."""
 
     @pytest.mark.parametrize("use_block, loss, records", [
-        (False, bce_loss, 144),
-        (True, focal_loss, 150),
+        (False, bce_loss, 132),
+        (True, focal_loss, 138),
     ], ids=["desk_bce", "base_block_focal"])
     def test_records_per_window_are_pinned(self, use_block, loss, records):
         rng = np.random.default_rng(0)
@@ -235,8 +238,8 @@ class TestTapeMemory:
         return model, rand_frames(rng, 5, side=32), label
 
     @pytest.mark.parametrize("use_block, loss, count", [
-        (False, bce_loss, 144),
-        (True, focal_loss, 150),
+        (False, bce_loss, 132),
+        (True, focal_loss, 138),
     ], ids=["desk_bce", "block_focal"])
     def test_records_refer_to_no_tensor_but_parameters(self, use_block, loss, count):
         model, frames, label = self.window(np.random.default_rng(0), use_block)
@@ -256,8 +259,64 @@ class TestTapeMemory:
         def record():
             with GradTape() as tape:
                 loss = bce_loss(model.forward_window(frames), label)
-            assert len(tape) == 144 and loss.data.shape == ()
+            assert len(tape) == 132 and loss.data.shape == ()
             return tape, loss
 
         held, _ = traced_memory(record)
         assert held <= 14 * 2 ** 20
+
+
+class TestZeroInitialState:
+    """Each window starts its cells from a zero state, so the first step's
+    U_f * 0 and U_h * (f o 0) are skipped: no conv work and no tape record."""
+
+    def test_conv_matmuls_of_a_desk_training_window(self, monkeypatch):
+        """Forward: 16 steps of 4 convs, 4 first steps of 2, and the decoder:
+        73. Backward, the input gradients: layer 1 of each flow has 4 steps
+        with a tracked state (U_f, U_h), layer 2 adds W_f and W_h on all 5
+        steps (26 per flow), and the decoder: 53. The kernel gradients do not
+        go through _conv_forward."""
+        from dflow import tensor
+
+        calls = []
+        conv_forward = tensor._conv_forward
+        monkeypatch.setattr(tensor, "_conv_forward",
+                            lambda xd, kd: calls.append(1) or conv_forward(xd, kd))
+        rng = np.random.default_rng(0)
+        model = build_dflow(tiny_config(k=4, channels=2), seed=0)
+        label = (rng.uniform(size=(1, 8, 8)) > 0.5).astype(np.float64)
+        with GradTape() as tape:
+            loss = bce_loss(model.forward_window(rand_frames(rng, 5)), label)
+        assert len(calls) == 73
+        backward(tape, loss)
+        assert len(calls) == 73 + 53
+
+    @pytest.mark.parametrize("use_block", [False, True], ids=["stack", "block"])
+    def test_k1_window_gives_every_parameter_a_gradient(self, use_block):
+        """k = 1: two steps, the first of them on the zero state."""
+        rng = np.random.default_rng(0)
+        model = build_dflow(tiny_config(k=1, use_block=use_block), seed=0)
+        label = (rng.uniform(size=(1, 8, 8)) > 0.5).astype(np.float64)
+        with GradTape() as tape:
+            loss = bce_loss(model.forward_window(rand_frames(rng, 2)), label)
+        backward(tape, loss)
+        for name, p in model.parameters().items():
+            assert p.grad.shape == p.data.shape and np.all(np.isfinite(p.grad)), name
+            assert np.any(p.grad), name
+
+    @pytest.mark.parametrize("in_branch", [False, True], ids=["direct", "in_branch"])
+    def test_one_frame_still_gives_u_f_and_u_h_a_zero_gradient(self, in_branch):
+        """With one frame the only U_f and U_h convs read the zero state, so
+        nothing records them; backward still gives U_f and U_h their exact
+        zero gradient, so an optimiser sees every parameter. A branch's
+        sub-tape hands the parameters it noted to the outer tape."""
+        rng = np.random.default_rng(0)
+        stack = ConvMguStack2(3, 2, 3, rng)
+        frames = [Tensor(rng.uniform(size=(3, 4, 4)))]
+        with GradTape() as tape:
+            h = branches([partial(stack.forward, frames)])[0] if in_branch else stack.forward(frames)
+            loss = mean_all(h)
+        backward(tape, loss)
+        for name, p in stack.parameters().items():
+            assert p.grad.shape == p.data.shape, name
+            assert np.any(p.grad) != name.endswith(("u_f", "u_h")), name

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dflow.tensor import (
     GradTape,
     Tensor,
+    Zero,
     add,
     backward,
     branches,
@@ -238,6 +239,38 @@ class TestConvKernel:
         bias = None if b_shape is None else zeros(b_shape)
         with pytest.raises(ValueError, match=message):
             conv(zeros(x_shape), zeros(k_shape), bias)
+
+
+class TestZeroConstant:
+    """An unbiased conv of a Zero and a product with one return a Zero at
+    once; anything else still computes and records."""
+
+    def test_zero_operand_returns_a_zero_and_records_nothing(self):
+        rng = np.random.default_rng(0)
+        k = Tensor(rand(rng, 3, 2, 3, 3).data, requires_grad=True)
+        f = Tensor(rand(rng, 2, 4, 5).data, requires_grad=True)
+        plain = Tensor(np.zeros((2, 4, 5)))
+        with GradTape() as tape:
+            outs = [conv2d_same(zeros((2, 4, 5)), k), hadamard(f, zeros((2, 4, 5))),
+                    hadamard(zeros((2, 4, 5)), f)]
+        assert len(tape) == 0
+        for out, want in zip(outs, [conv2d_same(plain, k), hadamard(f, plain), hadamard(plain, f)]):
+            assert isinstance(out, Zero) and not out.data.flags.writeable
+            npt.assert_array_equal(out.data, want.data)
+            assert out.data.shape == want.data.shape and out.data.dtype == want.data.dtype
+
+    def test_biased_conv_of_a_zero_still_runs(self):
+        rng = np.random.default_rng(1)
+        k = Tensor(rand(rng, 3, 2, 3, 3).data, requires_grad=True)
+        b = Tensor(rand(rng, 3).data, requires_grad=True)
+        with GradTape() as tape:
+            out = conv2d_same(zeros((2, 4, 5)), k, b)
+        assert len(tape) == 1 and not isinstance(out, Zero)
+        npt.assert_array_equal(out.data, np.broadcast_to(b.data[:, None, None], (3, 4, 5)))
+
+    def test_zeros_requires_grad_is_a_writable_parameter(self):
+        p = zeros((2, 3), requires_grad=True)
+        assert not isinstance(p, Zero) and p.data.flags.writeable
 
 
 class TestBackward:
