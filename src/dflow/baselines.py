@@ -49,24 +49,23 @@ class ThresholdParams:
         return self.window / 6.0 if self.gaussian_sigma is None else self.gaussian_sigma
 
 
-def _windowed_weighted_mean(g, window, weights):
-    pad = window // 2
-    gp = np.pad(g, pad, mode="edge")
+def _local_threshold(gray, weights, c):
+    """1 where pixel > its window's ``weights``-weighted mean - c, else 0."""
+    g = _as_plane(gray)
+    window = len(weights)
+    gp = np.pad(g, window // 2, mode="edge")
     h, w = g.shape
-    acc = np.zeros_like(g)
+    local = np.zeros_like(g)
     for i in range(window):
         for j in range(window):
-            acc += weights[i, j] * gp[i:i + h, j:j + w]
-    return acc
+            local += weights[i, j] * gp[i:i + h, j:j + w]
+    return (g > local - c).astype(np.float64).reshape(np.shape(gray))
 
 
 def adaptive_threshold_mean(gray, params):
     """1 where pixel > local windowed mean - C, else 0."""
-    g = _as_plane(gray)
     w = params.window
-    weights = np.full((w, w), 1.0 / (w * w))
-    local = _windowed_weighted_mean(g, w, weights)
-    return (g > local - params.c).astype(np.float64).reshape(np.shape(gray))
+    return _local_threshold(gray, np.full((w, w), 1.0 / (w * w)), params.c)
 
 
 def _gaussian_weights(window, sigma):
@@ -79,10 +78,7 @@ def _gaussian_weights(window, sigma):
 
 def adaptive_threshold_gaussian(gray, params):
     """Same rule with a normalised Gaussian-weighted window mean."""
-    g = _as_plane(gray)
-    weights = _gaussian_weights(params.window, params.sigma)
-    local = _windowed_weighted_mean(g, params.window, weights)
-    return (g > local - params.c).astype(np.float64).reshape(np.shape(gray))
+    return _local_threshold(gray, _gaussian_weights(params.window, params.sigma), params.c)
 
 
 def otsu_threshold(gray):

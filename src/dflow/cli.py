@@ -232,15 +232,11 @@ def _model_config(args, colors, **extra):
         k=args.k, **extra)
 
 
-def _load_dataset(path, k):
-    manifest = data.load_manifest(path)
-    return data.load_split_windows(manifest, k)
-
-
 def _load_run(args):
     """The checkpoint's run and the ``--split`` windows at the checkpoint's k."""
     run = training.load_checkpoint(args.checkpoint)
-    windows = _load_dataset(args.dataset, run.model.config.k)[args.split]
+    manifest = data.load_manifest(args.dataset)
+    windows = list(data.window_sequences(manifest, run.model.config.k, args.split))
     if not windows:
         raise ValueError(f"split {args.split!r} is empty")
     return run, windows
@@ -282,8 +278,13 @@ def _cmd_train(args):
     else:
         run.config = _valid(training.TrainConfig,
                             **{**dataclasses.asdict(run.config), "steps": args.steps})
+        mc = run.model.config  # echo the settings the run keeps, not the flags
+        vars(args).update(k=mc.k, channels=mc.channels, use_block=mc.use_block, preset=None,
+                          colors="+".join(filter(None, (mc.flow_a_space, mc.flow_b_space))),
+                          loss=run.config.loss, lr=run.config.lr, seed=run.config.seed)
     out_dir = _echo_config(args)
-    run = training.resume(run, _load_dataset(args.dataset, run.model.config.k))
+    manifest = data.load_manifest(args.dataset)
+    run = training.resume(run, data.load_split_windows(manifest, run.model.config.k))
     training.save_checkpoint(run, out_dir / "checkpoint.dflw")
     training.write_curve_csv(run.curve, out_dir / "curve.csv")
     print(f"trained {run.step} steps; model has {recurrent.count_actual_params(run.model)} "
@@ -363,6 +364,8 @@ def _cmd_params(args):
 def _cmd_gradcheck(args):
     if args.tolerance <= 0:
         raise CliError(f"--tolerance must be > 0, got {args.tolerance}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     model = network.build_dflow(
         _valid(network.DFlowConfig, channels=args.channels, k=args.k), seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -380,7 +383,7 @@ def _cmd_ablate(args):
     train_config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
                           steps=args.steps, seed=args.seed)
     out_dir = _echo_config(args)
-    dataset = _load_dataset(args.dataset, args.k)
+    dataset = data.load_split_windows(data.load_manifest(args.dataset), args.k)
     for name, model_config in model_configs.items():
         model = network.build_dflow(model_config, seed=args.seed)
         run = training.train(model, dataset, train_config)

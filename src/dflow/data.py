@@ -318,6 +318,8 @@ class SynthSceneParams:
         check_fields(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("brightness_drift", "flicker_rate", "noise_level"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -19,7 +19,7 @@ import numpy as np
 from ._fields import check_fields
 from .color import extract_y, rgb_to_hsv, rgb_to_yuv
 from .recurrent import ConvMguBlock, ConvMguStack2, _uniform
-from .tensor import Tensor, add, branches, conv2d_same, sigmoid, zeros
+from .tensor import Tensor, add, branches, conv2d_same, sigmoid
 
 __all__ = [
     "SPACE_CHANNELS",
@@ -151,5 +151,5 @@ def build_dflow(config, seed):
     flow_b = _build_flow(config, config.flow_b_space, rng) if config.dual_flow else None
     d = config.decoder_kernel_size
     decoder_w = _uniform(rng, (1, config.channels, d, d), config.channels * d * d)
-    decoder_b = zeros((1,), requires_grad=True)
+    decoder_b = Tensor(np.zeros((1,)), requires_grad=True)
     return DFlowModel(config, flow_a, flow_b, decoder_w, decoder_b)

@@ -26,6 +26,7 @@ import numpy as np
 from ._fields import check_fields
 from .tensor import (
     Tensor,
+    Zero,
     add,
     conv2d_same,
     conv3d_same,
@@ -33,7 +34,6 @@ from .tensor import (
     mgu_forget,
     mgu_update,
     time_slice,
-    zeros,
 )
 
 __all__ = [
@@ -105,10 +105,10 @@ class ConvMguCell:
         self.hidden_channels = n
         self.w_f = _uniform(rng, (n, cin, m, m), cin * m * m)
         self.u_f = _uniform(rng, (n, n, m, m), n * m * m)
-        self.b_f = zeros((n,), requires_grad=True)
+        self.b_f = Tensor(np.zeros((n,)), requires_grad=True)
         self.w_h = _uniform(rng, (n, cin, m, m), cin * m * m)
         self.u_h = _uniform(rng, (n, n, m, m), n * m * m)
-        self.b_h = zeros((n,), requires_grad=True)
+        self.b_h = Tensor(np.zeros((n,)), requires_grad=True)
 
     def parameters(self):
         return {
@@ -117,7 +117,7 @@ class ConvMguCell:
         }
 
     def initial_state(self, height, width):
-        return zeros((self.hidden_channels, height, width))
+        return Zero((self.hidden_channels, height, width))
 
     def step_with_gate(self, x, h_prev):
         """One recurrence step; returns (h_t, f_t). The convs and ``mgu_forget``
@@ -179,7 +179,7 @@ class ConvMguBlock:
         f = shortcut_kernel_size
         self.shortcut_w = _uniform(
             rng, (hidden_channels, in_channels, f, f, f), in_channels * f ** 3)
-        self.shortcut_b = zeros((hidden_channels,), requires_grad=True)
+        self.shortcut_b = Tensor(np.zeros((hidden_channels,)), requires_grad=True)
 
     @property
     def layer1(self):

@@ -1,9 +1,9 @@
 """Dense tensors with hand-written conv kernels and a reverse-mode gradient tape.
 
-Shapes follow channel-first conventions: images are (C, H, W), frame
-sequences (T, C, H, W), and a batch would add one leading extent (rank 5
-is the ceiling). Training math runs in float64 so finite-difference checks
-are meaningful; float32 is accepted for inference-only use.
+Shapes follow channel-first conventions: images are (C, H, W) and frame
+stacks (C, T, H, W); rank 5, the conv3d kernel (cout, cin, f, f, f), is the
+ceiling. Training math runs in float64 so finite-difference checks are
+meaningful; float32 is accepted for inference-only use.
 
 conv2d_same and conv3d_same share one im2col + matmul kernel over 2 or 3
 spatial axes; im2col copies a strided view of the zero-padded input once.
@@ -11,8 +11,8 @@ spatial axes; im2col copies a strided view of the zero-padded input once.
 mgu_forget and mgu_update are the ConvMGU cell's point-wise ops, each one
 tape record with a hand-written vjp that returns the same terms, in the same
 order, as the primitive chain it replaces, so results keep their bits.
-zeros() returns a read-only :class:`Zero`: an unbiased conv of one and a
-product with one return a new Zero at once, with no work and no tape record.
+:class:`Zero` is a read-only all-zero constant: an unbiased conv of one and
+a product with one return a new Zero at once, with no work and no tape record.
 
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
@@ -47,10 +47,10 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Zero",
     "GradTape",
     "backward",
     "branches",
-    "zeros",
     "sigmoid",
     "add",
     "hadamard",
@@ -94,10 +94,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
@@ -110,10 +106,6 @@ class Zero(Tensor):
 
     def __init__(self, shape, dtype=np.float64):
         super().__init__(np.broadcast_to(np.zeros((), dtype), shape))
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=True) if requires_grad else Zero(shape)
 
 
 # --- tape ------------------------------------------------------------------
@@ -441,12 +433,10 @@ def mgu_update(f, c1, c2, h_prev):
     fd, hd = f.data, h_prev.data
     cand = np.asarray(c1.data + c2.data)
     np.tanh(cand, out=cand)
-    need_h = h_prev._node is not None  # a constant initial state needs no gradient
 
     def vjp(g):
         gc = _times(1.0 - cand * cand, g * fd)  # times the tanh derivative
-        gh = _times(1.0 - fd, g) if need_h else None
-        return (g * cand - g * hd, gc, gc, gh)  # a - b is a + -b, bit for bit
+        return (g * cand - g * hd, gc, gc, _times(1.0 - fd, g))  # a - b is a + -b, bit for bit
 
     y = _times(1.0 - fd, hd)
     y += fd * cand
@@ -521,18 +511,16 @@ def _conv_same(x, kernel, bias, nd):
     if bias is not None:
         y += bias.data.reshape(-1, *(1,) * nd)
     cout, m = kd.shape[0], kd.shape[-1]
-    need_x, need_k = x._node is not None, kernel._node is not None
+    need_x = x._node is not None  # the frames take no gradient: skip a whole conv
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def vjp(g):
-        gk = gx = None
-        if need_k:
-            # the same bits as g2d @ cols.T, faster with the large cols untransposed;
-            # the small transposed product is copied to C order for the optimiser
-            gk = np.ascontiguousarray((_im2col(_pad(xd, m), m) @ g.reshape(cout, -1).T).T)
-            gk = gk.reshape(kd.shape)
-        if need_x:
-            gx = _conv_forward(g, _flip_kernel(kd))
+        # g2d @ cols.T, faster with the large cols untransposed (the same bits
+        # on OpenBLAS's SkylakeX kernel, not on every kernel); the small
+        # transposed product is copied to C order for the optimiser
+        gk = np.ascontiguousarray((_im2col(_pad(xd, m), m) @ g.reshape(cout, -1).T).T)
+        gk = gk.reshape(kd.shape)
+        gx = _conv_forward(g, _flip_kernel(kd)) if need_x else None
         return (gx, gk) if bias is None else (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))
 
     return _record(y, inputs, vjp)

@@ -93,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ValueError("steps, batch_size and eval_interval must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -131,14 +133,10 @@ def _loss_fn(config):
                                    gamma=config.focal_gamma)
 
 
-def _epoch_order(seed, epoch, n):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, epoch]))
-    return rng.permutation(n)
-
-
 def _window_at(windows, seed, position):
     n = len(windows)
-    return windows[_epoch_order(seed, position // n, n)[position % n]]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, position // n]))
+    return windows[rng.permutation(n)[position % n]]
 
 
 def _val_metrics(model, val_windows, loss_fn):

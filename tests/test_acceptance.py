@@ -25,7 +25,7 @@ from dflow.data import (
 from dflow.losses import bce_loss, dice_coefficient, focal_loss, silhouette_score
 from dflow.network import DFlowConfig, PRESET_CHANNELS, build_dflow
 from dflow.recurrent import ConvMguBlock, ConvMguCell, ConvMguStack2
-from dflow.tensor import Tensor, conv2d_same, conv3d_same, zeros
+from dflow.tensor import Tensor, Zero, conv2d_same, conv3d_same
 from dflow.training import (
     TrainConfig,
     TrainRun,
@@ -226,7 +226,7 @@ def test_criterion_6_invariant_suites(micro_dataset, tmp_path):
     steps_done = 0
     while steps_done < 1000:
         cell = ConvMguCell(2, 3, 3, rng)
-        h = zeros((3, 5, 5))
+        h = Zero((3, 5, 5))
         for _ in range(10):
             x = Tensor(rng.uniform(-1, 1, size=(2, 5, 5)))
             h, f = cell.step_with_gate(x, h)

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 
-from dflow import cli, recurrent
+from dflow import cli, data, recurrent
 from dflow.baselines import ThresholdParams
 from dflow.cli import main
 from dflow.data import SynthSceneParams, read_pgm
@@ -165,6 +165,20 @@ class TestTrain:
                 for name, values in expected.items():
                     npt.assert_array_equal(actual[name], values)
 
+    def test_resume_echoes_the_settings_it_keeps(self, dataset_dir, tmp_path):
+        first = tmp_path / "first"
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(first),
+                     "--k", "2", "--channels", "2", "--lr", "0.01", "--seed", "7",
+                     "--colors", "yuv", "--use-block", "--loss", "focal", "--steps", "2"]) == 0
+        out = tmp_path / "resumed"
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--checkpoint", str(first / "checkpoint.dflw"), "--steps", "3",
+                     "--preset", "base"]) == 0
+        echoed = json.loads((out / "resolved_config.json").read_text())
+        kept = {"k": 2, "channels": 2, "lr": 0.01, "seed": 7, "colors": "yuv",
+                "use_block": True, "loss": "focal", "preset": None, "steps": 3}
+        assert {key: echoed[key] for key in kept} == kept
+
     def test_resume_budget_defaults_to_the_checkpoint_and_cannot_shrink(
             self, dataset_dir, trained_dir, tmp_path, capsys):
         checkpoint = str(trained_dir / "checkpoint.dflw")
@@ -283,6 +297,20 @@ class TestInferEval:
         assert capsys.readouterr().err == "runtime error: split 'test' is empty\n"
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["resolved_config.json"]
 
+    def test_eval_reads_only_the_frames_of_its_split(self, dataset_dir, trained_dir,
+                                                     tmp_path, monkeypatch):
+        read, real = [], data._read_netpbm
+        monkeypatch.setattr(data, "_read_netpbm",
+                            lambda path, *rest: read.append(path) or real(path, *rest))
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.dflw"),
+                     "--dataset", str(dataset_dir), "--out", str(tmp_path / "eval"),
+                     "--split", "val"]) == 0
+        manifest = data.load_manifest(dataset_dir)
+        files = {split: {manifest.root / rel for src in manifest.sources if src.split == split
+                         for rel in (*src.frames, *src.labels)} for split in data.SPLITS}
+        assert files["train"] and not files["train"] & set(read)
+        assert set(read) == files["val"]
+
     def test_eval_emits_metrics_json(self, dataset_dir, trained_dir, tmp_path,
                                      capsys):
         out = tmp_path / "eval"
@@ -393,6 +421,8 @@ class TestValidationErrors:
         ["baseline", "mean", "--window", "4"], ["baseline", "dtransform", "--dt-fraction", "1"],
         ["synth", "--frames", "0"], ["synth", "--train", "0", "--val", "0"],
         ["params", "--m", "2"], ["gradcheck", "--k", "0"], ["ablate", "--k", "0"],
+        ["train", "--seed", "-1"], ["ablate", "--seed", "-1"], ["synth", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
     ], ids=" ".join)
     def test_value_a_config_type_rejects_writes_nothing(self, dataset_dir, tmp_path, capsys,
                                                         argv):
@@ -403,6 +433,22 @@ class TestValidationErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "synth", "gradcheck"])
+    def test_negative_seed_from_a_config_is_named(self, dataset_dir, tmp_path, capsys,
+                                                  command):
+        cfg_file = tmp_path / "seed.json"
+        cfg_file.write_text(json.dumps({"seed": -1}))
+        argv = [command, "--config", str(cfg_file)]
+        if command in ("train", "ablate"):
+            argv += ["--dataset", str(dataset_dir)]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed must be >= 0, got -1" in err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_flag(self, capsys):

@@ -14,7 +14,7 @@ from dflow.network import (
     frames_for_flow,
 )
 from dflow.recurrent import ConvMguStack2, count_actual_params
-from dflow.tensor import GradTape, Tensor, _leaves, _Node, backward, branches
+from dflow.tensor import GradTape, Tensor, Zero, _leaves, _Node, backward, branches
 
 from oracles import cell_weight_arrays, finite_difference, mean_all, rel_err, stack2_naive
 
@@ -47,6 +47,13 @@ class TestBuild:
         per_flow = 88720  # true two-layer stack size at kappa = n = 40, cin 3
         decoder = 1 * 40 * 9 + 1
         assert count_actual_params(model) == 2 * per_flow + decoder == 177801
+
+    def test_every_parameter_is_a_writable_tracked_tensor(self):
+        for config in (DFlowConfig(channels=PRESET_CHANNELS["small"]),
+                       DFlowConfig(channels=PRESET_CHANNELS["base"], use_block=True)):
+            for name, t in build_dflow(config, seed=0).parameters().items():
+                assert type(t) is Tensor and not isinstance(t, Zero), name
+                assert t.requires_grad and t.data.flags.writeable, name
 
     def test_presets(self):
         assert PRESET_CHANNELS == {"small": 16, "base": 40}

@@ -11,7 +11,7 @@ from dflow.recurrent import (
     count_actual_params,
     param_count,
 )
-from dflow.tensor import GradTape, Tensor, backward, zeros
+from dflow.tensor import GradTape, Tensor, Zero, backward
 
 from oracles import (
     block_naive,
@@ -133,9 +133,9 @@ class TestConvMguStep:
             ((1, 3, 4, 4), (2, 4, 4)), ((3, 4, 4), (1, 2, 4, 4)),  # rank 4
         ]:
             with pytest.raises(ValueError):
-                cell.step(zeros(x_shape), zeros(h_shape))
+                cell.step(Zero(x_shape), Zero(h_shape))
         block = ConvMguBlock(3, 2, 3, 3, np.random.default_rng(0))
-        for frames in ([], [zeros((4, 4, 4))] * 3):  # no frames, 4-channel frames
+        for frames in ([], [Zero((4, 4, 4))] * 3):  # no frames, 4-channel frames
             with pytest.raises(ValueError):
                 block.forward(frames)
 
@@ -143,7 +143,7 @@ class TestConvMguStep:
         rng = np.random.default_rng(4)
         for _ in range(50):
             cell = ConvMguCell(2, 3, 3, rng)
-            h = zeros((3, 5, 5))
+            h = Zero((3, 5, 5))
             for _step in range(5):
                 x = Tensor(rng.uniform(-1, 1, size=(2, 5, 5)))
                 h, f = cell.step_with_gate(x, h)
@@ -190,14 +190,14 @@ class TestStack2:
         stack = make_stack(0)
         for t in stack.parameters().values():
             t.data[...] = 0.0
-        out = stack.forward([zeros((3, 4, 4))])
+        out = stack.forward([Zero((3, 4, 4))])
         npt.assert_array_equal(out.data, 0.0)
 
     def test_zero_frames_reduce_to_center_tap_recurrence(self):
         # on a 1x1 grid with zero frames, convolutions see only their centre
         # taps, so the unroll collapses to a per-channel scalar recurrence
         stack = make_stack(7)
-        frames = [zeros((3, 1, 1)) for _ in range(4)]
+        frames = [Zero((3, 1, 1)) for _ in range(4)]
         out = stack.forward(frames)
 
         h1 = np.zeros(2)
@@ -213,8 +213,8 @@ class TestStack2:
         layer1, layer2 = stack.layer1, stack.layer2
         frames = [Tensor(rng.uniform(-1, 1, size=(3, 4, 4))) for _ in range(2)]
         out = stack.forward(frames)
-        h1 = layer1.step(frames[0], zeros((2, 4, 4)))
-        h2 = layer2.step(h1, zeros((2, 4, 4)))
+        h1 = layer1.step(frames[0], Zero((2, 4, 4)))
+        h2 = layer2.step(h1, Zero((2, 4, 4)))
         h1 = layer1.step(frames[1], h1)
         h2 = layer2.step(h1, h2)
         npt.assert_array_equal(out.data, h2.data)
@@ -287,7 +287,7 @@ class TestBlock:
         with pytest.raises(ValueError):
             block.forward([])
         with pytest.raises(ValueError):
-            block.forward([zeros((4, 4, 4))])
+            block.forward([Zero((4, 4, 4))])
 
 
 class TestGradcheckSensitivity:

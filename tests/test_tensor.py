@@ -19,8 +19,8 @@ from dflow.tensor import (
     scale,
     sigmoid,
     time_slice,
-    zeros,
 )
+from dflow import tensor
 from dflow.tensor import _im2col, _pad
 
 from oracles import (
@@ -68,7 +68,7 @@ class TestTensorBasics:
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        out = sigmoid(zeros((3, 4, 4)))
+        out = sigmoid(Zero((3, 4, 4)))
         npt.assert_array_equal(out.data, 0.5)
 
     def test_sigmoid_extreme_arguments_stay_finite(self):
@@ -88,7 +88,7 @@ class TestElementwise:
         npt.assert_array_equal(out.data, a.data)
 
     def test_binary_ops_reject_shape_mismatch(self):
-        a, b = zeros((2, 3)), zeros((3, 2))
+        a, b = Zero((2, 3)), Zero((3, 2))
         with pytest.raises(ValueError):
             add(a, b)
         with pytest.raises(ValueError):
@@ -106,13 +106,13 @@ class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.ones((1, 5, 5)))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        out = conv2d_same(x, k, zeros((1,)))
+        out = conv2d_same(x, k, Zero((1,)))
         npt.assert_array_equal(out.data, np.ones((1, 5, 5)))
 
     def test_zero_padding_arithmetic(self):
         x = Tensor(np.ones((1, 5, 5)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = conv2d_same(x, k, zeros((1,))).data[0]
+        out = conv2d_same(x, k, Zero((1,))).data[0]
         assert out[2, 2] == 9.0
         assert out[0, 2] == 6.0 and out[2, 0] == 6.0
         assert out[0, 0] == 4.0 and out[4, 4] == 4.0
@@ -127,11 +127,11 @@ class TestConv2d:
 
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
-            conv2d_same(zeros((1, 4, 4)), zeros((1, 1, 2, 2)))
+            conv2d_same(Zero((1, 4, 4)), Zero((1, 1, 2, 2)))
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError):
-            conv2d_same(zeros((2, 4, 4)), zeros((1, 3, 3, 3)))
+            conv2d_same(Zero((2, 4, 4)), Zero((1, 3, 3, 3)))
 
     def test_linear_in_input_and_kernel(self):
         rng = np.random.default_rng(7)
@@ -149,7 +149,7 @@ class TestConv2d:
 class TestConv3d:
     def test_zero_kernel_annihilates(self):
         x = Tensor(np.ones((2, 3, 4, 4)))
-        out = conv3d_same(x, zeros((3, 2, 3, 3, 3)), zeros((3,)))
+        out = conv3d_same(x, Zero((3, 2, 3, 3, 3)), Zero((3,)))
         npt.assert_array_equal(out.data, 0.0)
 
     def test_single_frame_collapses_to_central_time_slice(self):
@@ -236,9 +236,9 @@ class TestConvKernel:
         (conv3d_same, (1, 2, 4, 4), (2, 1, 3, 3, 3), (3,), "bias"),
     ])
     def test_shared_check_names_the_defect(self, conv, x_shape, k_shape, b_shape, message):
-        bias = None if b_shape is None else zeros(b_shape)
+        bias = None if b_shape is None else Zero(b_shape)
         with pytest.raises(ValueError, match=message):
-            conv(zeros(x_shape), zeros(k_shape), bias)
+            conv(Zero(x_shape), Zero(k_shape), bias)
 
 
 class TestZeroConstant:
@@ -251,8 +251,8 @@ class TestZeroConstant:
         f = Tensor(rand(rng, 2, 4, 5).data, requires_grad=True)
         plain = Tensor(np.zeros((2, 4, 5)))
         with GradTape() as tape:
-            outs = [conv2d_same(zeros((2, 4, 5)), k), hadamard(f, zeros((2, 4, 5))),
-                    hadamard(zeros((2, 4, 5)), f)]
+            outs = [conv2d_same(Zero((2, 4, 5)), k), hadamard(f, Zero((2, 4, 5))),
+                    hadamard(Zero((2, 4, 5)), f)]
         assert len(tape) == 0
         for out, want in zip(outs, [conv2d_same(plain, k), hadamard(f, plain), hadamard(plain, f)]):
             assert isinstance(out, Zero) and not out.data.flags.writeable
@@ -264,13 +264,15 @@ class TestZeroConstant:
         k = Tensor(rand(rng, 3, 2, 3, 3).data, requires_grad=True)
         b = Tensor(rand(rng, 3).data, requires_grad=True)
         with GradTape() as tape:
-            out = conv2d_same(zeros((2, 4, 5)), k, b)
+            out = conv2d_same(Zero((2, 4, 5)), k, b)
         assert len(tape) == 1 and not isinstance(out, Zero)
         npt.assert_array_equal(out.data, np.broadcast_to(b.data[:, None, None], (3, 4, 5)))
 
-    def test_zeros_requires_grad_is_a_writable_parameter(self):
-        p = zeros((2, 3), requires_grad=True)
-        assert not isinstance(p, Zero) and p.data.flags.writeable
+
+def test_all_names_every_public_name():
+    public = {name for name, obj in vars(tensor).items() if not name.startswith("_")
+              and getattr(obj, "__module__", None) == tensor.__name__}
+    assert sorted(tensor.__all__) == sorted(public)
 
 
 class TestBackward:

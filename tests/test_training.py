@@ -272,14 +272,14 @@ class TestGradcheck:
         assert report.passed, str(report)
 
     def test_linear_decoder_only_model_is_nearly_exact(self):
-        from dflow.tensor import conv2d_same, zeros
+        from dflow.tensor import conv2d_same
 
         class DecoderOnly:
             def __init__(self):
                 rng = np.random.default_rng(1)
                 self.w = Tensor(rng.uniform(-1, 1, size=(1, 3, 3, 3)),
                                 requires_grad=True)
-                self.b = zeros((1,), requires_grad=True)
+                self.b = Tensor(np.zeros((1,)), requires_grad=True)
 
             def parameters(self):
                 return {"w": self.w, "b": self.b}
