@@ -112,7 +112,7 @@ def _build_parser():
                    help="one colour space per flow, e.g. rgb+yuv or yuv")
     p.add_argument("--steps", type=int,
                    help="total step budget; unset means 500, or on resume the checkpoint's")
-    p.add_argument("--use-block", action="store_true", default=None,
+    p.add_argument("--use-block", action="store_true",
                    help="residual blocks instead of plain stacks")
     p.add_argument("--checkpoint",
                    help="resume from this checkpoint; its model, k and training "
@@ -269,7 +269,7 @@ def _cmd_train(args):
     if args.steps is None:
         args.steps = 500 if run is None else run.config.steps
     if run is None:
-        model_config = _model_config(args, args.colors, use_block=bool(args.use_block))
+        model_config = _model_config(args, args.colors, use_block=args.use_block)
         config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
                         steps=args.steps, seed=args.seed)
         run = training.TrainRun(network.build_dflow(model_config, seed=args.seed), config)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from dflow import tensor
+
 # make oracles.py importable regardless of how pytest is invoked
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -26,3 +28,12 @@ def _traced_memory(fn, *args):
 def traced_memory():
     """The shared traced-memory helper: ``held, peak = traced_memory(fn, *args)``."""
     return _traced_memory
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Take the branch pool away for the test, so ``tensor._run_all`` runs
+    every call on the calling thread; returns the pool it took away."""
+    pool = tensor._POOL
+    monkeypatch.setattr(tensor, "_POOL", None)
+    return pool

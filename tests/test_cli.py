@@ -179,6 +179,11 @@ class TestTrain:
                 "use_block": True, "loss": "focal", "preset": None, "steps": 3}
         assert {key: echoed[key] for key in kept} == kept
 
+    def test_fresh_run_echoes_the_use_block_it_builds(self, trained_dir):
+        echoed = json.loads((trained_dir / "resolved_config.json").read_text())
+        run = load_checkpoint(trained_dir / "checkpoint.dflw")
+        assert echoed["use_block"] is run.model.config.use_block
+
     def test_resume_budget_defaults_to_the_checkpoint_and_cannot_shrink(
             self, dataset_dir, trained_dir, tmp_path, capsys):
         checkpoint = str(trained_dir / "checkpoint.dflw")
@@ -633,7 +638,7 @@ class TestResolvedConfig:
             "height": 32, "noise": 0.02, "drift": 0.1, "distractors": 2, "flicker": 0.5}),
         (["train", "--dataset", "missing"], 2, {
             "seed": 0, "dataset": "missing", "k": 4, "channels": 40, "colors": "rgb+yuv",
-            "loss": "bce", "steps": 500, "lr": 0.001, "preset": None, "use_block": None,
+            "loss": "bce", "steps": 500, "lr": 0.001, "preset": None, "use_block": False,
             "checkpoint": None}),
         (["infer", "--checkpoint", "missing.dflw", "--dataset", "missing"], 2, {
             "checkpoint": "missing.dflw", "dataset": "missing", "split": "val"}),

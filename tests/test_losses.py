@@ -1,11 +1,14 @@
 import math
+import threading
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dflow import losses, tensor
 from dflow.losses import (
     _SILHOUETTE_BLOCK,
     bce_loss,
@@ -14,7 +17,7 @@ from dflow.losses import (
     silhouette_score,
     validate_label_mask,
 )
-from dflow.tensor import GradTape, Tensor, backward
+from dflow.tensor import GradTape, Tensor, backward, branches
 
 from oracles import finite_difference, rel_err, silhouette_naive
 
@@ -257,6 +260,79 @@ class TestSilhouetteMemory:
         mask, img, sample_n, seed = _capped_case()
         _, peak = traced_memory(silhouette_score, mask, img, sample_n, seed)
         assert peak / 2 ** 20 < 18.0
+
+
+def _score_on(pool, case):
+    """The silhouette of ``case`` with ``pool`` as the branch pool."""
+    kept, tensor._POOL = tensor._POOL, pool
+    try:
+        return silhouette_score(*case)
+    finally:
+        tensor._POOL = kept
+
+
+needs_pool = pytest.mark.skipif(tensor._POOL is None, reason="one usable CPU: no branch pool")
+
+
+class TestSilhouettePool:
+    """The distance blocks are shared out over one group per usable CPU on the
+    branch pool; every distance and row sum is the same on any split."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(silhouette_cases())
+    @example(_capped_case())
+    @example(_own_cluster_case(2))
+    @example(_own_cluster_case(_SILHOUETTE_BLOCK - 1))
+    @example(_own_cluster_case(_SILHOUETTE_BLOCK))
+    @example(_own_cluster_case(_SILHOUETTE_BLOCK + 1))
+    def test_bits_do_not_depend_on_the_pool(self, no_pool, case):
+        assert silhouette_score(*case) == _score_on(no_pool, case)
+
+    @needs_pool
+    def test_distance_blocks_run_on_two_threads(self, monkeypatch):
+        threads, distances = set(), losses._distances
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return distances(*args)
+
+        monkeypatch.setattr(losses, "_distances", spy)
+        silhouette_score(*_own_cluster_case(74, side=32)[:2])
+        assert len(threads) >= 2
+
+    @needs_pool
+    def test_in_a_branch_it_keeps_its_bits_and_never_waits_on_the_pool(self, monkeypatch):
+        case = _own_cluster_case(74, side=32)
+        submitted, submit = [], tensor._POOL.submit
+
+        def spy(fn, *args):
+            # raised on a worker instead of waiting there, which could deadlock
+            name = threading.current_thread().name
+            assert not name.startswith("dflow-branch"), "a pool worker submitted to the pool"
+            submitted.append(name)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(tensor._POOL, "submit", spy)
+        expected = silhouette_naive(*case)
+        # the second branch runs on a pool worker, which must run its groups itself
+        assert branches([partial(silhouette_score, *case)] * 2) == [expected, expected]
+        assert submitted
+
+    def test_leaves_an_active_tape_as_it_was(self):
+        p = Tensor(np.full((1, 2, 2), 0.5), requires_grad=True)
+        with GradTape() as tape:
+            bce_loss(p, np.ones((1, 2, 2)))
+            length = len(tape)
+            silhouette_score(*_own_cluster_case(74, side=32)[:2])
+            assert len(tape) == length
+
+    def test_desk_window_peak_with_eight_groups(self, monkeypatch, traced_memory):
+        monkeypatch.setattr(losses, "_CPUS", 8)
+        case = _own_cluster_case(74, side=32)
+        _, peak = traced_memory(silhouette_score, *case)
+        assert peak / 2 ** 20 < 4.0
+        assert silhouette_score(*case) == silhouette_naive(*case)
 
 
 class TestPermutationInvariance:
