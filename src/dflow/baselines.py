@@ -3,10 +3,12 @@ distance-transform cut.
 
 All three operate on a single grayscale channel in [0, 1] (the luma channel
 in this repo's pipelines) and return {0, 1} masks of the input shape. Window
-statistics use edge-replication padding. The distance transform is exact and
-separable: squared distances along rows are the min-plus convolution
-d[q] = min_p f[p] + (q - p)^2 of the 0 / +inf background indicator, and the
-same identity along the columns of that result gives the 2D squared distance.
+statistics use edge-replication padding. The window means and the exact
+distance transform are both separable. A box or Gaussian window is the outer
+product of a 1-D window w with itself, so its mean sum_ij w[i] w[j] g[y+i, x+j]
+is a w-weighted sum of shifted rows, then of shifted columns of that. Squared
+distances along rows are the min-plus convolution d[q] = min_p f[p] + (q - p)^2
+of the 0 / +inf background indicator; the same along columns gives the 2D ones.
 """
 
 from __future__ import annotations
@@ -50,29 +52,25 @@ class ThresholdParams:
 
 
 def _local_threshold(gray, weights, c):
-    """1 where pixel > its window's ``weights``-weighted mean - c, else 0."""
+    """1 where pixel > its mean over the window outer(weights, weights) - c, else 0."""
     g = _as_plane(gray)
-    window = len(weights)
-    gp = np.pad(g, window // 2, mode="edge")
     h, w = g.shape
-    local = np.zeros_like(g)
-    for i in range(window):
-        for j in range(window):
-            local += weights[i, j] * gp[i:i + h, j:j + w]
+    gp = np.pad(g, len(weights) // 2, mode="edge")
+    rows = sum(wt * gp[i:i + h] for i, wt in enumerate(weights))
+    local = sum(wt * rows[:, j:j + w] for j, wt in enumerate(weights))
     return (g > local - c).astype(np.float64).reshape(np.shape(gray))
 
 
 def adaptive_threshold_mean(gray, params):
     """1 where pixel > local windowed mean - C, else 0."""
-    w = params.window
-    return _local_threshold(gray, np.full((w, w), 1.0 / (w * w)), params.c)
+    return _local_threshold(gray, np.full(params.window, 1.0 / params.window), params.c)
 
 
 def _gaussian_weights(window, sigma):
-    half = window // 2
-    ax = np.arange(-half, half + 1, dtype=np.float64)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
-    w = np.exp(-(xx ** 2 + yy ** 2) / (2.0 * sigma ** 2))
+    """The normalised 1-D Gaussian; an x / sigma that overflows weighs 0."""
+    with np.errstate(over="ignore"):
+        x = np.arange(-(window // 2), window // 2 + 1) / sigma
+        w = np.exp(-0.5 * x * x)
     return w / w.sum()
 
 

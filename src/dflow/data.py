@@ -269,7 +269,9 @@ def window_sequences(manifest, k, split):
     """Yield the ``split`` sources' sliding windows of k+1 frames (stride 1),
     never crossing source boundaries; sources shorter than k+1 are skipped
     with a warning. Label is the final frame's mask. Frames keep their file's
-    samples, one image per frame shared by every window that holds it."""
+    samples, one image per frame shared by every window that holds it. A frame
+    or label whose size differs from its source's first frame, or a label with
+    a sample other than 0 and maxval, raises ValueError naming the file."""
     if k < 0:
         raise ValueError("k must be >= 0")
     need = k + 1
@@ -283,6 +285,14 @@ def window_sequences(manifest, k, split):
         frames = [ColorImage.from_samples(*_read_netpbm(manifest.root / rel, b"P6", 3),
                                           "rgb") for rel in src.frames]
         labels = [read_pgm(manifest.root / rel) for rel in src.labels]
+        sizes = [(img.height, img.width) for img in frames] + [y.shape[1:] for y in labels]
+        for rel, (h, w) in zip((*src.frames, *src.labels), sizes):
+            if (h, w) != sizes[0]:
+                raise ValueError(f"{manifest.root / rel}: {w}x{h} differs from the "
+                                 f"{sizes[0][1]}x{sizes[0][0]} of {src.id}'s first frame")
+        for rel, y in zip(src.labels, labels):
+            if not ((y == 0.0) | (y == 1.0)).all():
+                raise ValueError(f"{manifest.root / rel}: label samples must be 0 or maxval")
         for start in range(len(frames) - need + 1):
             yield FrameSequence(
                 frames=frames[start:start + need],

@@ -151,6 +151,34 @@ def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
     return float(np.concatenate(scores).mean())
 
 
+def brute_force_local_mean(g, window, weights=None):
+    """Sliding-window (optionally weighted) mean with edge replication."""
+    h, w = g.shape
+    half = window // 2
+    out = np.zeros_like(g)
+    if weights is None:
+        weights = np.full((window, window), 1.0 / window ** 2)
+    for y in range(h):
+        for x in range(w):
+            acc = 0.0
+            for i in range(window):
+                for j in range(window):
+                    yy = min(max(y + i - half, 0), h - 1)
+                    xx = min(max(x + j - half, 0), w - 1)
+                    acc += weights[i, j] * g[yy, xx]
+            out[y, x] = acc
+    return out
+
+
+def gaussian_grid(window, sigma):
+    """The normalised 2-D Gaussian window, built on the whole grid of offsets."""
+    half = window // 2
+    ax = np.arange(-half, half + 1, dtype=np.float64)
+    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    w = np.exp(-(xx ** 2 + yy ** 2) / (2.0 * sigma ** 2))
+    return w / w.sum()
+
+
 # --- tape primitives that only the chains and the tests use ---------------------
 # Each records one op on the active tape through ``dflow.tensor._record``, like
 # the library's own primitives.

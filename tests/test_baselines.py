@@ -6,31 +6,17 @@ from hypothesis import strategies as st
 
 from dflow.baselines import (
     ThresholdParams,
+    _gaussian_weights,
     adaptive_threshold_gaussian,
     adaptive_threshold_mean,
     distance_transform_threshold,
     euclidean_distance_transform,
     otsu_threshold,
 )
+from dflow.color import ColorImage, extract_y, rgb_to_yuv
+from dflow.data import SynthSceneParams, read_ppm, synth_generate
 
-
-def brute_force_local_mean(g, window, weights=None):
-    """Sliding-window (optionally weighted) mean with edge replication."""
-    h, w = g.shape
-    half = window // 2
-    out = np.zeros_like(g)
-    if weights is None:
-        weights = np.full((window, window), 1.0 / window ** 2)
-    for y in range(h):
-        for x in range(w):
-            acc = 0.0
-            for i in range(window):
-                for j in range(window):
-                    yy = min(max(y + i - half, 0), h - 1)
-                    xx = min(max(x + j - half, 0), w - 1)
-                    acc += weights[i, j] * g[yy, xx]
-            out[y, x] = acc
-    return out
+from oracles import brute_force_local_mean, gaussian_grid
 
 
 def brute_force_distance(mask):
@@ -130,6 +116,55 @@ class TestGaussianThreshold:
         weights /= weights.sum()
         expected = (g > brute_force_local_mean(g, 3, weights) - p.c).astype(np.float64)
         npt.assert_array_equal(adaptive_threshold_gaussian(g, p), expected)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+    def test_tiny_sigma_is_the_centre_pixel(self, sigma):
+        # sigma ** 2 underflows to 0 here; the weights must still be finite
+        npt.assert_array_equal(_gaussian_weights(11, sigma), np.eye(11)[5])
+        g = np.random.default_rng(7).uniform(size=(6, 9))
+        p = ThresholdParams(window=11, gaussian_sigma=sigma)
+        npt.assert_array_equal(adaptive_threshold_gaussian(g, p), g > g - p.c)
+
+
+class TestSeparableWindows:
+    """Masks from the two 1-D passes equal masks from the brute-force 2-D
+    window mean, with no pixel so close to ``g == local - c`` that rounding
+    could decide it."""
+
+    @staticmethod
+    def assert_masks_match_brute_force(g, p):
+        grids = {adaptive_threshold_mean: None,
+                 adaptive_threshold_gaussian: gaussian_grid(p.window, p.sigma)}
+        for method, grid in grids.items():
+            threshold = brute_force_local_mean(g, p.window, grid) - p.c
+            assert np.abs(g - threshold).min() > 1e-12
+            npt.assert_array_equal(method(g, p), (g > threshold).astype(np.float64))
+
+    def test_desk_frames_at_default_params(self, tmp_path):
+        # 32x32 synthetic frames, read back from their files like `dflow baseline` does
+        manifest = synth_generate(SynthSceneParams(seed=4), 2, 2, tmp_path, ["train", "val"])
+        for src in manifest.sources:
+            for rel in src.frames:
+                g = extract_y(rgb_to_yuv(ColorImage(read_ppm(manifest.root / rel), "rgb")))[0]
+                assert g.shape == (32, 32)
+                self.assert_masks_match_brute_force(g, ThresholdParams())
+
+    def test_plane_smaller_than_the_window(self):
+        g = np.random.default_rng(8).uniform(size=(4, 9))
+        self.assert_masks_match_brute_force(g, ThresholdParams())
+
+    def test_window_21(self):
+        g = np.random.default_rng(9).uniform(size=(12, 15))
+        self.assert_masks_match_brute_force(g, ThresholdParams(window=21, c=0.01))
+
+    def test_window_5_with_narrow_gaussian(self):
+        g = np.random.default_rng(10).uniform(size=(9, 8))
+        self.assert_masks_match_brute_force(g, ThresholdParams(window=5, gaussian_sigma=0.8))
+
+    def test_gaussian_weights_are_the_grid_factor(self):
+        for window, sigma in ((3, 0.8), (11, 11 / 6), (21, 3.5)):
+            w = _gaussian_weights(window, sigma)
+            npt.assert_allclose(np.outer(w, w), gaussian_grid(window, sigma), rtol=1e-14)
 
 
 class TestOtsu:

@@ -234,6 +234,22 @@ class TestTrain:
         assert err.startswith("runtime error: ") and err.count("\n") == 1
         assert named in err
 
+    def test_non_binary_label_is_a_one_line_runtime_error_naming_it(self, dataset_dir,
+                                                                   tmp_path, capsys):
+        data_dir = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data_dir)
+        label = data_dir / "seq_000" / "label_00003.pgm"
+        blob = bytearray(label.read_bytes())
+        blob[-1] = 128  # one gray sample among the 0/255 ones
+        label.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                   "--k", "2", "--channels", "2", "--steps", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"runtime error: {label}: "
+                                           "label samples must be 0 or maxval\n")
+        assert not (out / "checkpoint.dflw").exists() and not (out / "curve.csv").exists()
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
                    "--out", str(tmp_path / "out")])
@@ -339,6 +355,18 @@ class TestBaseline:
                    "--out", str(out), "--window", "5"])
         assert rc == 0
         assert len(list(out.glob(f"{method}_*.pgm"))) == 15  # 3 sources x 5
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "5e-324"])
+    def test_tiny_sigma_keeps_every_pixel_without_warning(self, dataset_dir, tmp_path,
+                                                           capsys, sigma):
+        out = tmp_path / "gaussian"
+        assert main(["baseline", "gaussian", "--dataset", str(dataset_dir),
+                     "--out", str(out), "--sigma", sigma]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        masks = sorted(out.glob("gaussian_*.pgm"))
+        assert len(masks) == 15
+        for mask in masks:
+            npt.assert_array_equal(read_pgm(mask), 1.0)
 
 
 class TestParams:

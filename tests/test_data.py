@@ -301,6 +301,24 @@ class TestWindowing:
         label = read_pgm(dataset.root / dataset.sources[0].labels[2])
         npt.assert_array_equal(w.label, label)
 
+    @pytest.mark.parametrize("files, write, values, size", [
+        ("frames", write_ppm, np.zeros((3, 8, 6)), "6x8"),
+        ("labels", write_pgm, np.zeros((7, 8)), "8x7"),
+    ], ids=["frame", "label"])
+    def test_file_of_another_size_is_named(self, dataset, files, write, values, size):
+        path = dataset.root / getattr(dataset.sources[1], files)[3]
+        write(path, values)
+        with pytest.raises(ValueError) as info:
+            list(window_sequences(dataset, k=2, split="train"))
+        assert str(info.value) == f"{path}: {size} differs from the 8x8 of seq_001's first frame"
+
+    def test_non_binary_label_is_named(self, dataset):
+        path = dataset.root / dataset.sources[0].labels[0]
+        write_pgm16(path, np.full((8, 8), 0.5))
+        with pytest.raises(ValueError) as info:
+            list(window_sequences(dataset, k=2, split="train"))
+        assert str(info.value) == f"{path}: label samples must be 0 or maxval"
+
     def test_split_loader_groups_by_split(self, tmp_path):
         params = SynthSceneParams(width=8, height=8, seed=9)
         synth_generate(params, 3, 5, tmp_path, splits=["train", "val", "test"])
