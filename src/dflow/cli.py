@@ -366,6 +366,8 @@ def _cmd_gradcheck(args):
         raise CliError(f"--tolerance must be > 0, got {args.tolerance}")
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
+    if args.size < 1:
+        raise CliError(f"--size must be >= 1, got {args.size}")
     model = network.build_dflow(
         _valid(network.DFlowConfig, channels=args.channels, k=args.k), seed=args.seed)
     rng = np.random.default_rng(args.seed)

@@ -134,6 +134,8 @@ def _read_netpbm(path, magic, channels):
         raise ValueError(f"{path}: payload has {len(blob) - offset} bytes, "
                          f"{count * dtype.itemsize} expected")
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    if raw.max() > maxval:
+        raise ValueError(f"{path}: sample {raw.max()} exceeds maxval {maxval}")
     return raw.reshape(h, w, channels), maxval
 
 

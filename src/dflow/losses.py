@@ -1,11 +1,14 @@
 """Training objectives (BCE, focal) and mask metrics (Dice, silhouette).
 
 Losses take the predicted probability map as a tape tensor so gradients flow
-back through the network; the label is treated as a constant. Each loss is
-one tape record whose vjp is written out by hand: it returns the terms the
-chain of elementwise primitives (clamp, log, products, mean) would sum, in
-the same order, so losses and gradients keep the chain's bits. Metrics are
-plain numpy and operate on thresholded binary masks.
+back through the network; the label is treated as a constant. Both losses
+are one focal record, -mean(alpha_t (1 - p_t)^gamma ln p_t), whose vjp is
+written out by hand: it returns the terms the chain of elementwise
+primitives (clamp, log, products, mean) would sum, in the same order, so
+losses and gradients keep the chain's bits. BCE is that record at
+alpha_t = 1 and gamma = 0, where every term is exactly ln p_t and every
+product the BCE chain adds in is an exact zero, so it keeps the BCE chain's
+bits too. Metrics are plain numpy and operate on thresholded binary masks.
 """
 
 from __future__ import annotations
@@ -36,72 +39,53 @@ def validate_label_mask(label):
     return lab
 
 
-def _label_and_clamp(p, y):
-    """The binary label, p clipped to [CLAMP_EPS, 1-CLAMP_EPS], and the mask
-    where the clip is inactive. An empty prediction has no mean loss."""
+def _focal_record(p, y, alpha_pos, alpha_neg, gamma):
+    """One tape record for the mean focal loss -alpha_t (1 - p_t)^gamma ln p_t,
+    p clamped to [CLAMP_EPS, 1-CLAMP_EPS]: p_t is p where y = 1 and 1-p
+    otherwise, alpha_t is alpha_pos on positives and alpha_neg on negatives.
+    The vjp zeroes the gradient where the clamp is active. An empty prediction
+    has no mean loss."""
     pd = p.data
     if pd.size == 0:
         raise ValueError(f"empty prediction of shape {pd.shape}")
     yd = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if yd.shape != pd.shape:
         raise ValueError(f"label shape {yd.shape} does not match prediction {pd.shape}")
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    return validate_label_mask(yd), np.clip(pd, lo, hi), (pd > lo) & (pd < hi)
-
-
-def _mean_loss(p, terms, interior, grad_pc):
-    """One tape record for -mean(terms), the terms a function of the clipped p.
-
-    ``grad_pc(gs)`` is the gradient w.r.t. the clipped p when every term's
-    upstream gradient is gs; the vjp zeroes it where the clip is active."""
+    yd, lo, hi = validate_label_mask(yd), CLAMP_EPS, 1.0 - CLAMP_EPS
+    pc, interior = np.clip(pd, lo, hi), (pd > lo) & (pd < hi)
+    omy, omp = 1.0 - yd, 1.0 - pc
+    alpha_t = alpha_pos * yd + alpha_neg * omy
+    pt = yd * pc + omy * omp
+    ompt = 1.0 - pt
+    modulator = ompt ** gamma
+    log_pt = np.log(pt)
+    terms = alpha_t * (modulator * log_pt)
     n = terms.size
 
     def vjp(g):
-        return (grad_pc(float(g * -1.0) / n) * interior,)
+        g_inner = (float(g * -1.0) / n) * alpha_t
+        d_mod = 0.0 if gamma == 0.0 else g_inner * log_pt * gamma * ompt ** (gamma - 1.0)
+        g_pt = (g_inner * modulator) / pt + -d_mod
+        return ((-(g_pt * omy) + g_pt * yd) * interior,)
 
     return _record((terms.sum() / n) * -1.0, (p,), vjp)
 
 
 def bce_loss(p, y):
     """Mean binary cross entropy -[y ln p + (1-y) ln(1-p)], p clamped to
-    [CLAMP_EPS, 1-CLAMP_EPS]."""
-    yd, pc, interior = _label_and_clamp(p, y)
-    omy, omp = 1.0 - yd, 1.0 - pc
-    terms = yd * np.log(pc) + omy * np.log(omp)
-
-    def grad_pc(gs):
-        return -((gs * omy) / omp) + (gs * yd) / pc
-
-    return _mean_loss(p, terms, interior, grad_pc)
+    [CLAMP_EPS, 1-CLAMP_EPS]: the focal record at alpha_t = 1, gamma = 0."""
+    return _focal_record(p, y, 1.0, 1.0, 0.0)
 
 
 def focal_loss(p, y, alpha=0.25, gamma=2.0):
-    """Mean focal loss -alpha_t (1 - p_t)^gamma ln p_t.
-
-    p_t is p where y = 1 and 1-p otherwise; alpha_t is alpha on positives and
-    1-alpha on negatives. With gamma = 0 and alpha = 0.5 this is exactly half
-    the BCE."""
+    """Mean focal loss -alpha_t (1 - p_t)^gamma ln p_t, alpha_t being alpha on
+    positives and 1-alpha on negatives. With gamma = 0 and alpha = 0.5 this is
+    exactly half the BCE."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    yd, pc, interior = _label_and_clamp(p, y)
-    omy, omp = 1.0 - yd, 1.0 - pc
-    alpha_t = alpha * yd + (1.0 - alpha) * omy
-    pt = yd * pc + omy * omp
-    ompt = 1.0 - pt
-    q = float(gamma)
-    modulator = ompt ** q
-    log_pt = np.log(pt)
-    terms = alpha_t * (modulator * log_pt)
-
-    def grad_pc(gs):
-        g_inner = gs * alpha_t
-        d_mod = 0.0 if q == 0.0 else g_inner * log_pt * q * ompt ** (q - 1.0)
-        g_pt = (g_inner * modulator) / pt + -d_mod
-        return -(g_pt * omy) + g_pt * yd
-
-    return _mean_loss(p, terms, interior, grad_pc)
+    if not (np.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    return _focal_record(p, y, alpha, 1.0 - alpha, float(gamma))
 
 
 def dice_coefficient(pred, label):

@@ -187,9 +187,8 @@ def resume(run, data):
                 backward(tape, loss, accumulate=True)
             terms.append(term.item())
         del tape  # the last window's, before the update and validation
-        loss_value = reduce(operator.add, reversed(terms))
-        if config.batch_size > 1:
-            loss_value *= 1.0 / config.batch_size
+        # not sum(): from Python 3.12 it sums floats with compensation
+        loss_value = reduce(operator.add, reversed(terms)) * (1.0 / config.batch_size)
         if not np.isfinite(loss_value):
             raise DivergenceError(
                 f"non-finite training loss {loss_value!r} at step {step} "

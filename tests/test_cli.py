@@ -369,6 +369,18 @@ class TestBaseline:
             npt.assert_array_equal(read_pgm(mask), 1.0)
 
 
+    def test_frame_sample_above_maxval_is_a_one_line_runtime_error(self, dataset_dir,
+                                                                   tmp_path, capsys):
+        data_dir = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data_dir)
+        frame = data_dir / "seq_001" / "frame_00002.ppm"
+        frame.write_bytes(b"P6\n8 8\n100\n" + bytes([200] * 3 * 64))  # the 8x8 synth size
+        out = tmp_path / "mean"
+        assert main(["baseline", "mean", "--dataset", str(data_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"runtime error: {frame}: "
+                                           "sample 200 exceeds maxval 100\n")
+
+
 class TestParams:
     def test_reference_values_on_stdout(self, capsys):
         assert main(["params"]) == 0
@@ -400,11 +412,6 @@ class TestGradcheckCommand:
     def test_default_check_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
-
-    def test_empty_frames_are_a_one_line_runtime_error(self, capsys):
-        assert main(["gradcheck", "--size", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: empty prediction") and err.count("\n") == 1
 
     def test_has_no_output_directory(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "x")]) == 1
@@ -455,7 +462,7 @@ class TestValidationErrors:
         ["synth", "--frames", "0"], ["synth", "--train", "0", "--val", "0"],
         ["params", "--m", "2"], ["gradcheck", "--k", "0"], ["ablate", "--k", "0"],
         ["train", "--seed", "-1"], ["ablate", "--seed", "-1"], ["synth", "--seed", "-1"],
-        ["gradcheck", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"], ["gradcheck", "--size", "0"], ["gradcheck", "--size", "-1"],
     ], ids=" ".join)
     def test_value_a_config_type_rejects_writes_nothing(self, dataset_dir, tmp_path, capsys,
                                                         argv):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from dflow.color import ColorImage
 from dflow.data import (
@@ -158,16 +158,32 @@ class TestNetpbm:
         path.write_bytes(b"P6#c\n1\t1 # c\n255" + separator + b"\x00\x80\xff")
         npt.assert_array_equal(read_ppm(path)[:, 0, 0], [0.0, 128 / 255, 1.0])
 
+    @pytest.mark.parametrize("reader, magic, samples, maxval, named", [
+        (read_ppm, b"P6", bytes([200, 50, 0]), 100, 200),
+        (read_pgm, b"P5", bytes([250]), 100, 250),
+        (read_ppm, b"P6", np.array([1001, 0, 1000], ">u2").tobytes(), 1000, 1001),
+        (read_pgm, b"P5", np.array([65535], ">u2").tobytes(), 1000, 65535),
+    ], ids=["ppm8", "pgm8", "ppm16", "pgm16"])
+    def test_sample_above_maxval_names_the_file(self, tmp_path, reader, magic, samples,
+                                                maxval, named):
+        path = tmp_path / "bright.pnm"
+        path.write_bytes(magic + f"\n1 1\n{maxval}\n".encode() + samples)
+        with pytest.raises(ValueError,
+                           match=f"bright.pnm: sample {named} exceeds maxval {maxval}"):
+            reader(path)
+
     @fuzz_settings
     @given(damaged(PPM_BLOB), damaged(PGM16_BLOB))
+    @example(PPM_BLOB.replace(b"255", b"155"), PGM16_BLOB)
     def test_truncated_or_flipped_file_reads_or_is_a_value_error(self, tmp_path, ppm, pgm):
         for reader, blob in ((read_ppm, ppm), (read_pgm, pgm)):
             path = tmp_path / "fuzzed.pnm"
             path.write_bytes(blob)
             try:
-                reader(path)
+                values = reader(path)
             except ValueError:
-                pass
+                continue
+            assert ((values >= 0.0) & (values <= 1.0)).all()
 
 
 class TestManifest:

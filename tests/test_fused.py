@@ -8,7 +8,7 @@ gates saturate and where the loss clamp is active.
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -172,9 +172,15 @@ def loss_inputs(draw):
     return p, y
 
 
+# p at 0, 1 and both clamp bounds, each with either label
+EDGE_CASE = (np.array([[[0.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0]] * 2]),
+             np.array([[[0.0] * 4, [1.0] * 4]]))
+
+
 class TestFusedLosses:
     @SETTINGS
     @given(loss_inputs())
+    @example(EDGE_CASE)
     def test_bce_matches_the_chain_bit_for_bit(self, case):
         p, y = case
         fused, chained = _loss_case(bce_loss, p, y), _loss_case(bce_loss_chain, p, y)
@@ -184,6 +190,8 @@ class TestFusedLosses:
 
     @SETTINGS
     @given(loss_inputs(), st.sampled_from([0.0, 2.0]), st.sampled_from([0.25, 0.5]))
+    @example(EDGE_CASE, 0.0, 0.25)
+    @example(EDGE_CASE, 2.0, 0.5)
     def test_focal_matches_the_chain_bit_for_bit(self, case, gamma, alpha):
         p, y = case
 

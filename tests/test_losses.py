@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dflow import losses, tensor
 from dflow.losses import (
     _SILHOUETTE_BLOCK,
+    CLAMP_EPS,
     bce_loss,
     dice_coefficient,
     focal_loss,
@@ -47,6 +48,23 @@ class TestBce:
         y = rand_label(rng)
         loss = bce_loss(Tensor(np.full((1, 6, 6), 0.5)), y)
         npt.assert_allclose(loss.item(), math.log(2.0), atol=1e-12)
+
+    def test_half_bce_gradient_is_bit_exact(self):
+        rng = np.random.default_rng(4)
+        p = rng.uniform(0.0, 1.0, size=(1, 6, 6))
+        p[0, 0, :4] = (0.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0)
+        y = rand_label(rng, (1, 6, 6))
+        results = []
+        for loss_fn in (bce_loss, partial(focal_loss, alpha=0.5, gamma=0.0)):
+            pt = Tensor(p.copy(), requires_grad=True)
+            with GradTape() as tape:
+                loss = loss_fn(pt, y)
+            backward(tape, loss)
+            results.append((loss.item(), pt.grad))
+        (bce, bce_grad), (focal, focal_grad) = results
+        assert focal == 0.5 * bce
+        assert np.array_equal(focal_grad, 0.5 * bce_grad)
+        assert np.array_equal(np.signbit(focal_grad), np.signbit(0.5 * bce_grad))
 
     def test_single_pixel_hand_value(self):
         loss = bce_loss(Tensor(np.array([[[0.9]]])), np.array([[[1.0]]]))
@@ -96,6 +114,11 @@ class TestFocal:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             focal_loss(Tensor(np.full((1, 1, 1), 0.5)), np.ones((1, 1, 1)), alpha=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            focal_loss(Tensor(np.full((1, 1, 1), 0.5)), np.ones((1, 1, 1)), gamma=gamma)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
