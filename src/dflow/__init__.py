@@ -6,53 +6,8 @@ dual-flow segmentation network it powers, colour-space conversions, losses
 and metrics, handcrafted thresholding baselines, a synthetic dataset
 generator, and a deterministic training engine. ``dflow.cli`` exposes all of
 it as subcommands.
+
+The package exports nothing itself: import each name from its module, for
+example ``from dflow import network, training``, where the module's
+``__all__`` lists its public names.
 """
-
-from .tensor import GradTape, Tensor, backward
-from .color import ColorImage, extract_y, rgb_to_hsv, rgb_to_yuv, yuv_to_rgb
-from .recurrent import (
-    ConvMguBlock,
-    ConvMguCell,
-    ConvMguStack2,
-    UnitHyperparams,
-    count_actual_params,
-    param_count,
-)
-from .network import DFlowConfig, DFlowModel, build_dflow
-from .losses import bce_loss, dice_coefficient, focal_loss, silhouette_score
-from .data import FrameSequence, SynthSceneParams, load_manifest, synth_generate
-from .training import TrainConfig, evaluate, gradcheck, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Tensor",
-    "GradTape",
-    "backward",
-    "ColorImage",
-    "rgb_to_yuv",
-    "yuv_to_rgb",
-    "rgb_to_hsv",
-    "extract_y",
-    "ConvMguCell",
-    "ConvMguStack2",
-    "ConvMguBlock",
-    "UnitHyperparams",
-    "param_count",
-    "count_actual_params",
-    "DFlowConfig",
-    "DFlowModel",
-    "build_dflow",
-    "bce_loss",
-    "focal_loss",
-    "dice_coefficient",
-    "silhouette_score",
-    "FrameSequence",
-    "SynthSceneParams",
-    "synth_generate",
-    "load_manifest",
-    "TrainConfig",
-    "train",
-    "evaluate",
-    "gradcheck",
-]

@@ -132,9 +132,8 @@ def distance_transform_threshold(gray, params):
     thresh = otsu_threshold(g)
     if thresh is None:
         return np.zeros(np.shape(gray))
+    # thresh * 255 is exactly a level with pixels on both sides: fg is never empty or full
     fg = np.clip(np.round(g * 255.0), 0, 255) > thresh * 255.0
-    if not fg.any() or fg.all():
-        return np.zeros(np.shape(gray))
     dist = euclidean_distance_transform(fg)
     cut = params.dt_fraction * dist.max()
     return (dist > cut).astype(np.float64).reshape(np.shape(gray))

@@ -34,7 +34,7 @@ BASELINES = {"mean": baselines.adaptive_threshold_mean,
              "dtransform": baselines.distance_transform_threshold}
 
 
-class CliError(Exception):
+class _CliError(Exception):
     """Validation failure (bad flags, bad config): exit code 1."""
 
 
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     def error(self, message):
-        raise CliError(message)
+        raise _CliError(message)
 
 
 def _number(text):
@@ -169,10 +169,10 @@ def _check_config_value(key, value, action):
     try:
         check_value(f"config key {key!r}", value, kind)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise _CliError(str(exc))
     if action.choices is not None and value not in action.choices:
-        raise CliError(f"config key {key!r} must be one of {sorted(action.choices)}, "
-                       f"got {json.dumps(value)}")
+        raise _CliError(f"config key {key!r} must be one of {sorted(action.choices)}, "
+                        f"got {json.dumps(value)}")
 
 
 def _parse(argv):
@@ -185,15 +185,15 @@ def _parse(argv):
         try:
             overlay = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
-            raise CliError(f"config file not found: {args.config}")
+            raise _CliError(f"config file not found: {args.config}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CliError(f"config file does not parse: {exc}")
+            raise _CliError(f"config file does not parse: {exc}")
         if not isinstance(overlay, dict):
-            raise CliError(f"config file {args.config} is not a JSON object")
+            raise _CliError(f"config file {args.config} is not a JSON object")
         flags = args.parser.flags
         unknown = set(overlay) - set(flags)
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
+            raise _CliError(f"unknown config keys: {sorted(unknown)}")
         for key, value in overlay.items():
             _check_config_value(key, value, flags[key])
         args.parser.set_defaults(**overlay)
@@ -211,12 +211,12 @@ def _echo_config(args):
 
 
 def _valid(cls, **values):
-    """``cls(**values)`` with the ValueError of its checks as a CliError; call
+    """``cls(**values)`` with the ValueError of its checks as a _CliError; call
     it before ``_echo_config``, so that a rejected value writes nothing."""
     try:
         return cls(**values)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise _CliError(str(exc))
 
 
 def _model_config(args, colors, **extra):
@@ -224,7 +224,7 @@ def _model_config(args, colors, **extra):
     preset or ``--channels``."""
     parts = colors.split("+")
     if len(parts) > 2:
-        raise CliError(f"at most two flows, like rgb+yuv; got {colors!r}")
+        raise _CliError(f"at most two flows, like rgb+yuv; got {colors!r}")
     return _valid(
         network.DFlowConfig,
         flow_a_space=parts[0], flow_b_space=parts[1] if len(parts) == 2 else None,
@@ -249,10 +249,10 @@ def _cmd_synth(args):
     counts = {split: getattr(args, split) for split in data.SPLITS}
     for split, count in counts.items():
         if count < 0:
-            raise CliError(f"--{split} must not be negative, got {count}")
+            raise _CliError(f"--{split} must not be negative, got {count}")
     if sum(counts.values()) < 1 or args.frames < 1:
-        raise CliError("need at least one sequence (--train, --val, --test) "
-                       "of at least one frame (--frames)")
+        raise _CliError("need at least one sequence (--train, --val, --test) "
+                        "of at least one frame (--frames)")
     params = _valid(data.SynthSceneParams,
                     width=args.width, height=args.height, seed=args.seed,
                     brightness_drift=args.drift, distractor_count=args.distractors,
@@ -274,7 +274,7 @@ def _cmd_train(args):
                         steps=args.steps, seed=args.seed)
         run = training.TrainRun(network.build_dflow(model_config, seed=args.seed), config)
     elif args.steps < run.step:
-        raise CliError(f"steps {args.steps} is below the checkpoint's step {run.step}")
+        raise _CliError(f"steps {args.steps} is below the checkpoint's step {run.step}")
     else:
         run.config = _valid(training.TrainConfig,
                             **{**dataclasses.asdict(run.config), "steps": args.steps})
@@ -322,15 +322,14 @@ def _cmd_baseline(args):
     out_dir = _echo_config(args)
     method = BASELINES[args.method]
     manifest = data.load_manifest(args.dataset)
-    count = 0
-    for src in manifest.sources:
-        for rel in src.frames:
-            img = ColorImage(data.read_ppm(manifest.root / rel), "rgb")
-            gray = extract_y(rgb_to_yuv(img))
-            mask = method(gray, params)
-            data.write_pgm(out_dir / f"{args.method}_{Path(rel).stem}_{src.id}.pgm", mask)
-            count += 1
-    print(f"wrote {count} masks to {out_dir}", file=sys.stderr)
+    # every frame is read before the first mask is written, so a bad one writes none
+    frames = [(src.id, rel, ColorImage.from_samples(
+                   *data._read_netpbm(manifest.root / rel, b"P6", 3), "rgb"))
+              for src in manifest.sources for rel in src.frames]
+    for source_id, rel, img in frames:
+        mask = method(extract_y(rgb_to_yuv(img)), params)
+        data.write_pgm(out_dir / f"{args.method}_{Path(rel).stem}_{source_id}.pgm", mask)
+    print(f"wrote {len(frames)} masks to {out_dir}", file=sys.stderr)
     return 0
 
 
@@ -363,11 +362,11 @@ def _cmd_params(args):
 
 def _cmd_gradcheck(args):
     if args.tolerance <= 0:
-        raise CliError(f"--tolerance must be > 0, got {args.tolerance}")
+        raise _CliError(f"--tolerance must be > 0, got {args.tolerance}")
     if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
+        raise _CliError(f"--seed must be >= 0, got {args.seed}")
     if args.size < 1:
-        raise CliError(f"--size must be >= 1, got {args.size}")
+        raise _CliError(f"--size must be >= 1, got {args.size}")
     model = network.build_dflow(
         _valid(network.DFlowConfig, channels=args.channels, k=args.k), seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -401,7 +400,7 @@ def main(argv=None):
         try:
             args = _parse(argv)
             return args.run(args)
-        except CliError as exc:
+        except _CliError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except (ValueError, OSError, MemoryError, training.DivergenceError,

@@ -16,6 +16,7 @@ __all__ = [
     "yuv_to_rgb",
     "rgb_to_hsv",
     "extract_y",
+    "unit_floats",
     "RGB_TO_YUV_MATRIX",
     "YUV_OFFSET",
 ]

@@ -88,8 +88,8 @@ def corrupt_copy(path, defect):
     ``string_focal_alpha``, ``bool_eval_interval``, ``bool_lr``,
     ``beta2_above_one``, ``string_curve_loss``, ``fractional_curve_step``,
     ``missing_adam_moment``, ``duplicate_entry``, ``reordered_entries``,
-    ``extra_header_key`` or ``trailing_bytes``. The last five keep the
-    directory's offsets consistent with the payload."""
+    ``extra_header_key``, ``trailing_bytes`` or ``future_version``. The last
+    six keep the directory's offsets consistent with the payload."""
     blob = CHECKPOINT.read_bytes()
     if defect == "short_file":
         path.write_bytes(blob[:10])
@@ -161,6 +161,8 @@ def corrupt_copy(path, defect):
         header["note"] = "x"
     elif defect == "trailing_bytes":
         payload += bytes(8)
+    elif defect == "future_version":
+        blob = blob[:4] + struct.pack("<I", 2) + blob[8:]
     else:
         raise ValueError(defect)
     text = json.dumps(header, sort_keys=True).encode("utf-8")

@@ -176,6 +176,13 @@ class TestOtsu:
     def test_constant_image_has_no_split(self):
         assert otsu_threshold(np.full((4, 4), 0.3)) is None
 
+    def test_threshold_is_exactly_the_split_level(self):
+        # each level below 255 is the split of itself and 255, and comes back
+        # from thresh * 255 exactly, so the foreground above it is never empty
+        # or full: distance_transform_threshold relies on this
+        for level in range(255):
+            assert otsu_threshold(np.array([[level, 255.0]]) / 255.0) * 255.0 == level
+
 
 class TestDistanceTransform:
     def test_matches_brute_force_exactly(self):
@@ -204,6 +211,11 @@ class TestDistanceTransform:
         mask.flat[rng.integers(mask.size)] = False  # at least one background pixel
         assert np.array_equal(euclidean_distance_transform(mask),
                               np.sqrt(brute_force_distance(mask)))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3, 3)])
+    def test_rejects_a_mask_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match="expected a 2D mask"):
+            euclidean_distance_transform(np.zeros(shape, dtype=bool))
 
     def test_all_foreground_is_infinite(self):
         for shape in ((3, 3), (1, 5), (4, 1)):

@@ -379,6 +379,8 @@ class TestBaseline:
         assert main(["baseline", "mean", "--dataset", str(data_dir), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"runtime error: {frame}: "
                                            "sample 200 exceeds maxval 100\n")
+        # every frame is read before the first mask is written
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
 
 class TestParams:
@@ -491,6 +493,11 @@ class TestValidationErrors:
         assert "seed must be >= 0, got -1" in err
         assert not (tmp_path / "x").exists()
 
+    def test_missing_config_file_is_a_validation_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "absent.json"
+        assert main(["params", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {cfg_file}\n"
+
     def test_unknown_flag(self, capsys):
         assert main(["params", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
@@ -542,6 +549,7 @@ class TestValidationErrors:
         ["baseline", "gaussian", "--dataset", "d", "--sigma", "inf"],
         ["baseline", "dtransform", "--dataset", "d", "--dt-fraction", "nan"],
         ["ablate", "--dataset", "d", "--lr", "1e999"],
+        ["gradcheck", "--tolerance", "1e-4x"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_non_finite_number_flag_is_rejected(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1

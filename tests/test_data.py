@@ -94,6 +94,12 @@ class TestNetpbm:
         assert path.read_bytes() == (b"P5\n3 2\n65535\n"
                                      + b"\x00\x00\x80\x00\xff\xff\x00\x01\xff\xff\x00\x00")
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 2, 2), (3, 2), (1, 3, 2, 2)])
+    def test_ppm_writer_rejects_other_shapes(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"expected \(3, H, W\)"):
+            write_ppm(tmp_path / "bad.ppm", np.zeros(shape))
+        assert not (tmp_path / "bad.ppm").exists()
+
     @pytest.mark.parametrize("writer", [write_pgm, write_pgm16])
     @pytest.mark.parametrize("shape", [(2, 2, 2), (4,), (1, 1, 2, 2)])
     def test_pgm_writers_reject_other_shapes(self, tmp_path, writer, shape):
@@ -201,6 +207,13 @@ class TestManifest:
         with pytest.raises(ManifestError, match="label_00000.pgm"):
             load_manifest(tmp_path)
 
+    def test_frame_and_label_counts_must_match(self, tmp_path):
+        (tmp_path / "f0.ppm").touch()
+        rec = SourceRecord(id="s0", frames=["f0.ppm"], labels=[], split="train")
+        save_manifest(DatasetManifest(root=tmp_path, sources=[rec]))
+        with pytest.raises(ManifestError, match="source s0: 1 frames vs 0 labels"):
+            load_manifest(tmp_path)
+
     def test_round_trip_preserves_records(self, tmp_path):
         params = SynthSceneParams(width=8, height=8, seed=3)
         manifest = synth_generate(params, 2, 3, tmp_path, splits=["train", "val"])
@@ -277,7 +290,8 @@ class TestManifest:
     @pytest.mark.parametrize("doc, named", [
         ([], "not a JSON object"),
         ({"version": 1, "sources": {"id": "s0"}}, "'sources' is not a list"),
-    ], ids=["list", "sources_object"])
+        ({"version": 2, "sources": []}, "unsupported manifest version 2"),
+    ], ids=["list", "sources_object", "version_2"])
     def test_top_level_that_is_not_an_object_is_rejected(self, tmp_path, doc, named):
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=named):
@@ -307,6 +321,10 @@ class TestWindowing:
         windows = list(window_sequences(dataset, k=4, split="train"))
         assert len(windows) == 4  # two sources x (6 - 5 + 1) each
         assert {w.source_id for w in windows} == {"seq_000", "seq_001"}
+
+    def test_negative_k_is_rejected(self, dataset):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            next(window_sequences(dataset, k=-1, split="train"))
 
     def test_short_sources_are_skipped_with_warning(self, dataset):
         with pytest.warns(UserWarning, match="fewer than"):
@@ -349,6 +367,15 @@ class TestFrameSequence:
         b = ColorImage(np.zeros((3, 5, 5)), "rgb")
         with pytest.raises(ValueError):
             FrameSequence(frames=[a, b], label=None)
+
+    def test_rejects_no_frames(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            FrameSequence(frames=[], label=None)
+
+    def test_rejects_a_label_of_another_size(self):
+        a = ColorImage(np.zeros((3, 4, 4)), "rgb")
+        with pytest.raises(ValueError, match=r"label shape \(1, 4, 5\) does not match"):
+            FrameSequence(frames=[a], label=np.zeros((1, 4, 5)))
 
     def test_rejects_unordered_indices(self):
         a = ColorImage(np.zeros((3, 4, 4)), "rgb")
@@ -427,7 +454,7 @@ class TestSynthGenerate:
             # and inside the label everything is green-dominant
             assert dominant[label == 1.0].all()
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             SynthSceneParams(width=0)
         with pytest.raises(ValueError):
@@ -436,6 +463,8 @@ class TestSynthGenerate:
             SynthSceneParams(width=2.5)
         with pytest.raises(ValueError):
             synth_generate(SynthSceneParams(), 2, 3, "/tmp/x", splits=["train"])
+        with pytest.raises(ValueError, match="at least one sequence"):
+            synth_generate(SynthSceneParams(), 0, 3, tmp_path, splits=[])
 
     @pytest.mark.parametrize("width, height", [(1, 1), (1, 40), (40, 1)])
     def test_distractors_need_two_pixels_on_each_side(self, width, height):

@@ -163,6 +163,10 @@ class TestDice:
         z = np.zeros((1, 3, 3))
         assert dice_coefficient(z, z) == 1.0
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            dice_coefficient(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
+
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -215,6 +219,16 @@ class TestSilhouette:
         assert -1.0 <= silhouette_score(pred, img) <= 1.0
         with pytest.raises(ValueError):
             silhouette_score(np.ones((1, 1, 1)), np.zeros((3, 1, 1)))
+
+    @pytest.mark.parametrize("img_shape, sample_n, message", [
+        ((1, 2, 2), 1000, r"expected image pixels \(3, H, W\), got \(1, 2, 2\)"),
+        ((3, 2, 3), 1000, "image and mask spatial sizes differ"),
+        ((3, 2, 2), 1, "sample_n must be >= 2"),
+    ], ids=["channels", "size", "sample_n"])
+    def test_rejects_malformed_inputs(self, img_shape, sample_n, message):
+        pred = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match=message):
+            silhouette_score(pred, np.zeros(img_shape), sample_n=sample_n)
 
     def test_singleton_cluster_contributes_zero(self):
         img = gray_image([[0.0, 0.4, 0.8]])

@@ -177,6 +177,11 @@ class TestFramesForFlow:
         assert frames_for_flow(frames, "hsv")[0].data.shape == (3, 4, 4)
         assert frames_for_flow(frames, "y")[0].data.shape == (1, 4, 4)
 
+    def test_unknown_space_is_rejected(self):
+        frames = [ColorImage(np.zeros((3, 4, 4)), "rgb")]
+        with pytest.raises(ValueError, match="unknown colour space 'lab'"):
+            frames_for_flow(frames, "lab")
+
     def test_rgb_passthrough_is_exact(self):
         rng = np.random.default_rng(25)
         img = ColorImage(rng.uniform(0, 1, size=(3, 4, 4)), "rgb")

@@ -282,6 +282,13 @@ class TestBlock:
         npt.assert_allclose(out.data, expected[-1], atol=1e-12)
         assert out.data.shape == (2, 4, 4)
 
+    def test_rejects_even_kernels(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^kernel size must be odd"):
+            ConvMguCell(3, 2, 2, rng)
+        with pytest.raises(ValueError, match="^shortcut kernel size must be odd"):
+            ConvMguBlock(3, 2, 3, 2, rng)
+
     def test_rejects_empty_sequence_and_bad_channels(self):
         block = self.make_block()
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -20,7 +24,7 @@ from dflow.tensor import (
     sigmoid,
     time_slice,
 )
-from dflow import tensor
+from dflow import baselines, cli, color, data, losses, network, recurrent, tensor, training
 from dflow.tensor import _im2col, _pad
 
 from oracles import (
@@ -36,6 +40,8 @@ from oracles import (
     sum_all,
     tanh,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def rand(rng, *shape):
@@ -269,10 +275,32 @@ class TestZeroConstant:
         npt.assert_array_equal(out.data, np.broadcast_to(b.data[:, None, None], (3, 4, 5)))
 
 
-def test_all_names_every_public_name():
-    public = {name for name, obj in vars(tensor).items() if not name.startswith("_")
-              and getattr(obj, "__module__", None) == tensor.__name__}
-    assert sorted(tensor.__all__) == sorted(public)
+@pytest.mark.parametrize("module", [tensor, recurrent, network, losses, data, training,
+                                    color, baselines, cli], ids=lambda m: m.__name__[6:])
+def test_all_names_every_public_name(module):
+    """``__all__`` lists every function and class the module defines without a
+    leading underscore, and nothing else but its upper-case constants."""
+    public = {name for name, obj in vars(module).items() if not name.startswith("_")
+              and getattr(obj, "__module__", None) == module.__name__}
+    constants = [name for name in module.__all__ if name.isupper()]
+    assert all(name in vars(module) for name in constants)
+    assert sorted(name for name in module.__all__ if name not in constants) == sorted(public)
+
+
+def test_importing_one_module_loads_no_other():
+    """Each name has one import path, its module's: the package re-exports
+    nothing, so importing ``dflow.tensor`` loads no other ``dflow`` module."""
+    probe = ("import sys, types, dflow.tensor; "
+             "print(sorted(m for m in sys.modules if m.startswith('dflow'))); "
+             "print(sorted(n for n, v in vars(dflow).items() if not n.startswith('_') "
+             "and not isinstance(v, types.ModuleType)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["['dflow', 'dflow.tensor']", "[]"]
 
 
 class TestBackward:
@@ -315,6 +343,15 @@ class TestBackward:
             out = hadamard(w, w)
         with pytest.raises(ValueError):
             backward(tape, out)
+
+    def test_loss_must_come_from_the_tape(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with GradTape() as tape:
+            hadamard(w, w)
+        with GradTape():
+            loss = sum_all(hadamard(w, w))
+        with pytest.raises(ValueError, match="loss was not produced under this tape"):
+            backward(tape, loss)
 
     def test_gradients_accumulate_over_consumers(self):
         w = Tensor(np.full((3,), 2.0), requires_grad=True)
@@ -395,6 +432,15 @@ class TestBackward:
         backward(tape, loss)
         fd = finite_difference(loss_value, w.data)
         assert rel_err(w.grad, fd).max() < 1e-4
+
+    @pytest.mark.parametrize("shape, t, message", [
+        ((2, 3, 3), 0, r"rank 4 \(C, T, H, W\), got \(2, 3, 3\)"),
+        ((2, 2, 3, 3), 2, "time index 2 out of range for T=2"),
+        ((2, 2, 3, 3), -1, "time index -1 out of range for T=2"),
+    ])
+    def test_time_slice_rejects_another_rank_or_index(self, shape, t, message):
+        with pytest.raises(ValueError, match=message):
+            time_slice(Tensor(np.zeros(shape)), t)
 
     def test_time_slice_gradient(self):
         rng = np.random.default_rng(19)

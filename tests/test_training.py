@@ -108,6 +108,17 @@ class TestTrainLoop:
             TrainConfig(**{field: value})
         assert str(info.value) == f"{field} must be {rule}, got {value}"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", -1e-3, "lr must be >= 0"),
+        ("steps", 0, "steps, batch_size and eval_interval must be >= 1"),
+        ("batch_size", 0, "steps, batch_size and eval_interval must be >= 1"),
+        ("eval_interval", 0, "steps, batch_size and eval_interval must be >= 1"),
+    ])
+    def test_negative_lr_or_count_below_one_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
+
     def test_divergence_aborts_with_diagnostic(self, tiny_dataset):
         model = tiny_model()
         model.decoder_b.data[...] = np.nan
@@ -307,6 +318,12 @@ class TestGradcheck:
         report = gradcheck(model, self.make_sample(rng), loss="bce")
         assert not report.passed
 
+    def test_non_finite_analytic_gradient_is_a_divergence(self):
+        model = tiny_model(seed=5)
+        model.decoder_b.data[...] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite analytic gradient for "):
+            gradcheck(model, self.make_sample(np.random.default_rng(0)))
+
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1e-4])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         sample = self.make_sample(np.random.default_rng(0))
@@ -484,6 +501,7 @@ class TestCheckpoints:
         ("reordered_entries", "is param.decoder.w"),
         ("extra_header_key", "outside the tensor directory"),
         ("trailing_bytes", "oversized"),
+        ("future_version", "unsupported checkpoint version 2"),
     ])
     def test_incomplete_or_corrupt_file_is_rejected(self, tmp_path, defect, named):
         path = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)
