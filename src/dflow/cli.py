@@ -32,6 +32,8 @@ ABLATION_CONFIGS = ["rgb", "hsv", "yuv", "rgb+yuv", "rgb+hsv", "hsv+yuv", "rgb+y
 BASELINES = {"mean": baselines.adaptive_threshold_mean,
              "gaussian": baselines.adaptive_threshold_gaussian,
              "dtransform": baselines.distance_transform_threshold}
+# a frame's output file: prefix, source id and the frame's position in its source
+FRAME_FILE = "{}_{}_{:05d}.pgm"
 
 
 class _CliError(Exception):
@@ -186,6 +188,8 @@ def _parse(argv):
             overlay = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise _CliError(f"config file not found: {args.config}")
+        except OSError as exc:
+            raise _CliError(f"config file {args.config} cannot be read: {exc.strerror}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _CliError(f"config file does not parse: {exc}")
         if not isinstance(overlay, dict):
@@ -297,9 +301,9 @@ def _cmd_infer(args):
     run, windows = _load_run(args)
     for seq in windows:
         probs = run.model.predict(seq.frames)
-        stem = f"{seq.source_id}_{seq.frame_indices[-1]:05d}"
-        data.write_pgm16(out_dir / f"prob_{stem}.pgm", probs)
-        data.write_pgm(out_dir / f"mask_{stem}.pgm", (probs > 0.5).astype(np.float64))
+        frame = (seq.source_id, seq.frame_indices[-1])
+        data.write_pgm16(out_dir / FRAME_FILE.format("prob", *frame), probs)
+        data.write_pgm(out_dir / FRAME_FILE.format("mask", *frame), probs > 0.5)
     print(f"wrote {len(windows)} probability/mask pairs to {out_dir}", file=sys.stderr)
     return 0
 
@@ -323,12 +327,11 @@ def _cmd_baseline(args):
     method = BASELINES[args.method]
     manifest = data.load_manifest(args.dataset)
     # every frame is read before the first mask is written, so a bad one writes none
-    frames = [(src.id, rel, ColorImage.from_samples(
-                   *data._read_netpbm(manifest.root / rel, b"P6", 3), "rgb"))
-              for src in manifest.sources for rel in src.frames]
-    for source_id, rel, img in frames:
+    frames = [(src.id, index, data.read_frame(manifest.root / rel))
+              for src in manifest.sources for index, rel in enumerate(src.frames)]
+    for source_id, index, img in frames:
         mask = method(extract_y(rgb_to_yuv(img)), params)
-        data.write_pgm(out_dir / f"{args.method}_{Path(rel).stem}_{source_id}.pgm", mask)
+        data.write_pgm(out_dir / FRAME_FILE.format(args.method, source_id, index), mask)
     print(f"wrote {len(frames)} masks to {out_dir}", file=sys.stderr)
     return 0
 

@@ -16,7 +16,6 @@ __all__ = [
     "yuv_to_rgb",
     "rgb_to_hsv",
     "extract_y",
-    "unit_floats",
     "RGB_TO_YUV_MATRIX",
     "YUV_OFFSET",
 ]
@@ -36,12 +35,11 @@ class ColorImage:
     """A (3, H, W) image in [0, 1] tagged with its colour space.
 
     ``ColorImage(pixels, space)`` holds float pixels. ``from_samples`` holds a
-    netpbm file's integer samples instead, in file order (H, W, 3), at 1 byte
-    per 8-bit sample rather than 8; ``pixels`` then divides them by maxval on
-    every read, giving the array ``data.read_ppm`` returns for the file.
-    Treat ``pixels`` as read-only."""
+    C-order copy of a netpbm file's (3, H, W) integer samples instead, at 1
+    byte per 8-bit sample rather than 8; ``pixels`` then divides them by
+    maxval on every read. Treat ``pixels`` as read-only."""
 
-    __slots__ = ("_stored", "_maxval", "_shape", "space")
+    __slots__ = ("_stored", "_maxval", "space")
 
     def __init__(self, pixels, space):
         self._hold(np.asarray(pixels, dtype=np.float64), None, space)
@@ -49,35 +47,29 @@ class ColorImage:
     @classmethod
     def from_samples(cls, samples, maxval, space):
         img = cls.__new__(cls)
-        img._hold(np.array(samples), maxval, space)  # a copy, so the file's bytes can go
+        img._hold(np.array(samples, order="C"), maxval, space)  # a copy: the file's bytes can go
         return img
 
     def _hold(self, stored, maxval, space):
-        shape = stored.shape if maxval is None else stored.shape[-1:] + stored.shape[:-1]
-        if len(shape) != 3 or shape[0] != 3:
-            raise ValueError(f"expected shape (3, H, W), got {shape}")
+        if stored.ndim != 3 or stored.shape[0] != 3:
+            raise ValueError(f"expected shape (3, H, W), got {stored.shape}")
         if space not in ("rgb", "yuv", "hsv"):
             raise ValueError(f"unknown colour space {space!r}")
-        self._stored, self._maxval, self._shape, self.space = stored, maxval, shape, space
+        self._stored, self._maxval, self.space = stored, maxval, space
 
     @property
     def pixels(self):
         if self._maxval is None:
             return self._stored
-        return unit_floats(self._stored, self._maxval)
+        return self._stored.astype(np.float64) / self._maxval
 
     @property
     def height(self):
-        return self._shape[1]
+        return self._stored.shape[1]
 
     @property
     def width(self):
-        return self._shape[2]
-
-
-def unit_floats(samples, maxval):
-    """(channels, H, W) float64 in [0, 1] from (H, W, channels) netpbm samples."""
-    return samples.transpose(2, 0, 1).astype(np.float64) / maxval
+        return self._stored.shape[2]
 
 
 def _require_space(img, space, op):

@@ -9,12 +9,13 @@ Directory convention: ``<root>/<source_id>/frame_%05d.ppm`` colour frames,
                   "split": "train"|"val"|"test",
                   "metadata": {"location": ..., "lighting": ..., "motion": ...}}]}
 
-Frames are binary PPM (P6), masks binary PGM (P5); both are codec-free so a
-fixed seed regenerates byte-identical datasets. The synthetic scenes put a
-green-dominant moving quadrilateral on a non-green textured background, with
-global brightness drift, flickering green distractor patches outside the
-target, one in-target line marking (covered by the weak polygon label), and
-Gaussian pixel noise.
+A source id names output files, so it holds no ``/`` or NUL. Frames are binary
+PPM (P6), read by ``read_frame`` alone, masks binary PGM (P5); both are
+codec-free so a fixed seed regenerates byte-identical datasets. The synthetic
+scenes put a green-dominant moving quadrilateral on a non-green textured
+background, with global brightness drift, flickering green distractor patches
+outside the target, one in-target line marking (covered by the weak polygon
+label), and Gaussian pixel noise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import check_fields
-from .color import ColorImage, unit_floats
+from .color import ColorImage
 
 __all__ = [
     "FrameSequence",
@@ -42,7 +43,7 @@ __all__ = [
     "load_split_windows",
     "synth_generate",
     "rasterize_polygon",
-    "read_ppm",
+    "read_frame",
     "write_ppm",
     "read_pgm",
     "write_pgm",
@@ -120,8 +121,8 @@ def _read_netpbm_header(path, blob, magic):
 
 
 def _read_netpbm(path, magic, channels):
-    """The integer samples of a binary netpbm file in file order,
-    (H, W, channels) and still a view of the file's bytes, and its maxval."""
+    """The integer samples of a binary netpbm file as a (channels, H, W) view
+    of the file's bytes, and its maxval."""
     blob = Path(path).read_bytes()
     w, h, maxval, offset = _read_netpbm_header(path, blob, magic)
     if w == 0 or h == 0:
@@ -136,17 +137,18 @@ def _read_netpbm(path, magic, channels):
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     if raw.max() > maxval:
         raise ValueError(f"{path}: sample {raw.max()} exceeds maxval {maxval}")
-    return raw.reshape(h, w, channels), maxval
+    return raw.reshape(h, w, channels).transpose(2, 0, 1), maxval
 
 
-def read_ppm(path):
-    """Read a binary PPM (8- or 16-bit) into a (3, H, W) float array in [0, 1]."""
-    return unit_floats(*_read_netpbm(path, b"P6", 3))
+def read_frame(path):
+    """Read a binary PPM (8- or 16-bit) into an rgb ColorImage holding its samples."""
+    return ColorImage.from_samples(*_read_netpbm(path, b"P6", 3), "rgb")
 
 
 def read_pgm(path):
     """Read a binary PGM (8- or 16-bit) into a (1, H, W) float array in [0, 1]."""
-    return unit_floats(*_read_netpbm(path, b"P5", 1))
+    samples, maxval = _read_netpbm(path, b"P5", 1)
+    return samples.astype(np.float64) / maxval
 
 
 # --- manifest ----------------------------------------------------------------
@@ -183,6 +185,8 @@ def _source_record(index, entry):
     for key in ("id", "split"):
         if not isinstance(entry[key], str):
             raise ManifestError(f"manifest source {index}: {key!r} is not a string")
+    if "/" in entry["id"] or "\0" in entry["id"]:
+        raise ManifestError(f"manifest source {index}: id {entry['id']!r} holds '/' or NUL")
     for key in ("frames", "labels"):
         if not isinstance(entry[key], list):
             raise ManifestError(f"manifest source {index}: {key!r} is not a list")
@@ -200,8 +204,8 @@ def load_manifest(path):
     """Load and validate a manifest; raises ManifestError naming every missing
     file, any unknown split tag, or duplicated source ids, and naming the
     first source that is not an object, lacks a key, has a non-string id or
-    split, has frames/labels that are not lists of strings, or has a
-    metadata value that is not an object."""
+    split, an id holding '/' or NUL, frames/labels that are not lists of
+    strings, or a metadata value that is not an object."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -213,7 +217,7 @@ def load_manifest(path):
         raise ManifestError(f"manifest does not parse: {exc}")
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} is not a JSON object")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:  # not true, not 1.0
         raise ManifestError(f"unsupported manifest version {doc.get('version')!r}")
     root = path.parent
     entries = doc.get("sources", [])
@@ -284,8 +288,7 @@ def window_sequences(manifest, k, split):
             warnings.warn(f"source {src.id} has {len(src.frames)} frames, "
                           f"fewer than the k+1={need} a window needs; skipped")
             continue
-        frames = [ColorImage.from_samples(*_read_netpbm(manifest.root / rel, b"P6", 3),
-                                          "rgb") for rel in src.frames]
+        frames = [read_frame(manifest.root / rel) for rel in src.frames]
         labels = [read_pgm(manifest.root / rel) for rel in src.labels]
         sizes = [(img.height, img.width) for img in frames] + [y.shape[1:] for y in labels]
         for rel, (h, w) in zip((*src.frames, *src.labels), sizes):

@@ -13,8 +13,8 @@ from dflow.baselines import (
     euclidean_distance_transform,
     otsu_threshold,
 )
-from dflow.color import ColorImage, extract_y, rgb_to_yuv
-from dflow.data import SynthSceneParams, read_ppm, synth_generate
+from dflow.color import extract_y, rgb_to_yuv
+from dflow.data import SynthSceneParams, read_frame, synth_generate
 
 from oracles import brute_force_local_mean, gaussian_grid
 
@@ -145,7 +145,7 @@ class TestSeparableWindows:
         manifest = synth_generate(SynthSceneParams(seed=4), 2, 2, tmp_path, ["train", "val"])
         for src in manifest.sources:
             for rel in src.frames:
-                g = extract_y(rgb_to_yuv(ColorImage(read_ppm(manifest.root / rel), "rgb")))[0]
+                g = extract_y(rgb_to_yuv(read_frame(manifest.root / rel)))[0]
                 assert g.shape == (32, 32)
                 self.assert_masks_match_brute_force(g, ThresholdParams())
 

@@ -354,7 +354,9 @@ class TestBaseline:
         rc = main(["baseline", method, "--dataset", str(dataset_dir),
                    "--out", str(out), "--window", "5"])
         assert rc == 0
-        assert len(list(out.glob(f"{method}_*.pgm"))) == 15  # 3 sources x 5
+        # infer's name rule: the source id, then the frame's position in its source
+        assert sorted(p.name for p in out.glob(f"{method}_*.pgm")) == [
+            f"{method}_seq_{s:03d}_{i:05d}.pgm" for s in range(3) for i in range(5)]
 
     @pytest.mark.parametrize("sigma", ["1e-200", "5e-324"])
     def test_tiny_sigma_keeps_every_pixel_without_warning(self, dataset_dir, tmp_path,
@@ -380,6 +382,40 @@ class TestBaseline:
         assert capsys.readouterr().err == (f"runtime error: {frame}: "
                                            "sample 200 exceeds maxval 100\n")
         # every frame is read before the first mask is written
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
+    def test_frames_that_share_a_file_stem_get_a_mask_each(self, dataset_dir, tmp_path,
+                                                           capsys):
+        data_dir = tmp_path / "ds"
+        for index, cam in enumerate(("camA", "camB")):
+            (data_dir / cam).mkdir(parents=True)
+            shutil.copy(dataset_dir / f"seq_000/frame_{index:05d}.ppm", data_dir / cam / "f.ppm")
+            shutil.copy(dataset_dir / f"seq_000/label_{index:05d}.pgm", data_dir / cam / "l.pgm")
+        (data_dir / "manifest.json").write_text(json.dumps({"version": 1, "sources": [
+            {"id": "cam", "frames": ["camA/f.ppm", "camB/f.ppm"],
+             "labels": ["camA/l.pgm", "camB/l.pgm"], "split": "train"}]}))
+        out, whole = tmp_path / "mean", tmp_path / "whole"
+        assert main(["baseline", "mean", "--dataset", str(data_dir), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote 2 masks to {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "mean_cam_00000.pgm", "mean_cam_00001.pgm", "resolved_config.json"]
+        assert main(["baseline", "mean", "--dataset", str(dataset_dir), "--out", str(whole)]) == 0
+        for index in range(2):
+            assert ((out / f"mean_cam_{index:05d}.pgm").read_bytes()
+                    == (whole / f"mean_seq_000_{index:05d}.pgm").read_bytes())
+
+    @pytest.mark.parametrize("source_id", ["../../escaped", "te\0st"], ids=["slash", "nul"])
+    def test_source_id_that_is_not_a_file_name_writes_no_mask(self, dataset_dir, tmp_path,
+                                                              capsys, source_id):
+        doc = json.loads((dataset_dir / "manifest.json").read_text())
+        doc["sources"][-1]["id"] = source_id  # the masks of earlier sources come first
+        data_dir = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data_dir)
+        (data_dir / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "mean"
+        assert main(["baseline", "mean", "--dataset", str(data_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"runtime error: manifest source 2: id "
+                                           f"{source_id!r} holds '/' or NUL\n")
         assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
 
@@ -497,6 +533,13 @@ class TestValidationErrors:
         cfg_file = tmp_path / "absent.json"
         assert main(["params", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err == f"error: config file not found: {cfg_file}\n"
+
+    def test_config_file_that_is_a_directory_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["synth", "--out", str(out), "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (f"error: config file {tmp_path} cannot be read: "
+                                           "Is a directory\n")
+        assert not out.exists()
 
     def test_unknown_flag(self, capsys):
         assert main(["params", "--bogus"]) == 1

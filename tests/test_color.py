@@ -120,21 +120,22 @@ class TestColorImage:
         with pytest.raises(ValueError):
             ColorImage(np.zeros((3, 4, 4)), "cmyk")
 
-    @pytest.mark.parametrize("shape", [(4, 4, 1), (3, 4, 4), (4, 4), (1, 4, 4, 3)])
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (4, 3, 4), (4, 4), (3, 1, 4, 4)])
     def test_samples_form_rejects_what_the_float_form_rejects(self, shape):
         samples = np.zeros(shape, dtype=np.uint8)
         with pytest.raises(ValueError, match=r"expected shape \(3, H, W\)"):
-            ColorImage(samples.transpose(np.roll(np.arange(len(shape)), 1)), "rgb")
+            ColorImage(samples, "rgb")
         with pytest.raises(ValueError, match=r"expected shape \(3, H, W\)"):
             ColorImage.from_samples(samples, 255, "rgb")
 
     def test_samples_form_rejects_unknown_space(self):
         with pytest.raises(ValueError, match="unknown colour space 'cmyk'"):
-            ColorImage.from_samples(np.zeros((4, 4, 3), dtype=np.uint8), 255, "cmyk")
+            ColorImage.from_samples(np.zeros((3, 4, 4), dtype=np.uint8), 255, "cmyk")
 
     def test_samples_form_keeps_a_copy(self):
-        samples = np.full((2, 2, 3), 51, dtype=np.uint8)
-        img = ColorImage.from_samples(samples, 255, "rgb")
+        samples = np.full((2, 4, 3), 51, dtype=np.uint8)  # file order, viewed as (3, H, W)
+        img = ColorImage.from_samples(samples.transpose(2, 0, 1), 255, "rgb")
         samples[...] = 0
-        npt.assert_array_equal(img.pixels, np.full((3, 2, 2), 0.2))
-        assert (img.height, img.width) == (2, 2)
+        npt.assert_array_equal(img.pixels, np.full((3, 2, 4), 0.2))
+        assert img.pixels.flags.c_contiguous
+        assert (img.height, img.width) == (2, 4)

@@ -17,8 +17,8 @@ from dflow.data import (
     load_manifest,
     load_split_windows,
     rasterize_polygon,
+    read_frame,
     read_pgm,
-    read_ppm,
     save_manifest,
     synth_generate,
     window_sequences,
@@ -39,6 +39,12 @@ MANIFEST_BLOB = (json.dumps({"version": 1, "sources": [
      "split": "train", "metadata": {"seed": 3}},
     {"id": "s1", "frames": ["f1.ppm"], "labels": ["l1.pgm"], "split": "val"},
 ]}, indent=2, sort_keys=True) + "\n").encode()
+
+
+def read_ppm(path):
+    """A PPM file's float pixels, read by the one frame reader (the reader
+    tables below name their cases read_ppm and read_pgm)."""
+    return read_frame(path).pixels
 
 
 class TestNetpbm:
@@ -277,7 +283,10 @@ class TestManifest:
         ("frames", [3], "'frames' entry 0 is not a string"),
         ("labels", ["l0.pgm", {"path": "l1.pgm"}], "'labels' entry 1 is not a string"),
         ("metadata", [1], "'metadata' is not an object"),
-    ], ids=["id_list", "id_int", "split_null", "frame_int", "label_object", "metadata_list"])
+        ("id", "../../escaped", "id '../../escaped' holds '/' or NUL"),
+        ("id", "te\0st", r"id 'te\\x00st' holds '/' or NUL"),
+    ], ids=["id_list", "id_int", "split_null", "frame_int", "label_object", "metadata_list",
+            "id_with_slash", "id_with_nul"])
     def test_element_of_the_wrong_type_is_named(self, tmp_path, key, value, named):
         good = {"id": "s0", "frames": [], "labels": [], "split": "train"}
         bad = dict(good, id="s1")
@@ -291,7 +300,9 @@ class TestManifest:
         ([], "not a JSON object"),
         ({"version": 1, "sources": {"id": "s0"}}, "'sources' is not a list"),
         ({"version": 2, "sources": []}, "unsupported manifest version 2"),
-    ], ids=["list", "sources_object", "version_2"])
+        ({"version": True, "sources": []}, "unsupported manifest version True"),
+        ({"version": 1.0, "sources": []}, r"unsupported manifest version 1\.0"),
+    ], ids=["list", "sources_object", "version_2", "version_true", "version_float"])
     def test_top_level_that_is_not_an_object_is_rejected(self, tmp_path, doc, named):
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=named):
@@ -477,7 +488,7 @@ class TestSynthGenerate:
 
 
 class TestLoadedFrames:
-    """Frames loaded by ``load_split_windows`` against the ``read_ppm`` floats."""
+    """Frames loaded by ``load_split_windows`` against float frames of the same files."""
 
     @pytest.fixture()
     def dataset(self, tmp_path):
@@ -487,12 +498,13 @@ class TestLoadedFrames:
 
     @staticmethod
     def rebuilt_from_floats(manifest, windows):
-        """The same windows, each frame and label read again with read_ppm/read_pgm."""
+        """The same windows, each frame read again as float pixels and each label
+        with read_pgm."""
         sources = {src.id: src for src in manifest.sources}
 
         def rebuild(seq):
             src = sources[seq.source_id]
-            frames = [ColorImage(read_ppm(manifest.root / src.frames[i]), "rgb")
+            frames = [ColorImage(read_frame(manifest.root / src.frames[i]).pixels, "rgb")
                       for i in seq.frame_indices]
             label = read_pgm(manifest.root / src.labels[seq.frame_indices[-1]])
             return FrameSequence(frames, label, seq.source_id, seq.frame_indices)
@@ -531,10 +543,11 @@ class TestLoadedFrames:
         rec = SourceRecord(id="s0", frames=["f.ppm"], labels=["l.pgm"], split="train")
         save_manifest(DatasetManifest(root=tmp_path, sources=[rec]))
         (window,) = load_split_windows(load_manifest(tmp_path), k=0)["train"]
-        got, want = window.frames[0].pixels, read_ppm(frame)
+        got = window.frames[0].pixels
+        want = samples.reshape(h, w, 3).transpose(2, 0, 1) / maxval
         npt.assert_array_equal(got, want)
-        assert (got.dtype, got.strides, got.shape) == (want.dtype, want.strides, want.shape)
-        npt.assert_array_equal(want, samples.reshape(h, w, 3).transpose(2, 0, 1) / maxval)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.flags.c_contiguous
 
     def test_frames_hold_about_one_byte_per_8_bit_sample(self, tmp_path, traced_memory):
         params = SynthSceneParams(width=32, height=32, seed=16)
