@@ -373,7 +373,7 @@ def _cmd_gradcheck(args):
     model = network.build_dflow(
         _valid(network.DFlowConfig, channels=args.channels, k=args.k), seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    frames = [ColorImage(rng.uniform(0.0, 1.0, size=(3, args.size, args.size)), "rgb")
+    frames = [ColorImage(rng.uniform(0.0, 1.0, size=(3, args.size, args.size)))
               for _ in range(args.k + 1)]
     label = (rng.uniform(size=(1, args.size, args.size)) > 0.5).astype(np.float64)
     sample = data.FrameSequence(frames=frames, label=label)

@@ -10,12 +10,12 @@ Directory convention: ``<root>/<source_id>/frame_%05d.ppm`` colour frames,
                   "metadata": {"location": ..., "lighting": ..., "motion": ...}}]}
 
 A source id names output files, so it holds no ``/`` or NUL. Frames are binary
-PPM (P6), read by ``read_frame`` alone, masks binary PGM (P5); both are
-codec-free so a fixed seed regenerates byte-identical datasets. The synthetic
-scenes put a green-dominant moving quadrilateral on a non-green textured
-background, with global brightness drift, flickering green distractor patches
-outside the target, one in-target line marking (covered by the weak polygon
-label), and Gaussian pixel noise.
+PPM (P6), read by ``read_frame`` alone into a ColorImage of its samples, masks
+binary PGM (P5); both are codec-free so a fixed seed regenerates byte-identical
+datasets. The synthetic scenes put a green-dominant moving quadrilateral on a
+non-green textured background, with global brightness drift, flickering green
+distractor patches outside the target, one in-target line marking (covered by
+the weak polygon label), and Gaussian pixel noise.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def _read_netpbm(path, magic, channels):
 
 
 def read_frame(path):
-    """Read a binary PPM (8- or 16-bit) into an rgb ColorImage holding its samples."""
-    return ColorImage.from_samples(*_read_netpbm(path, b"P6", 3), "rgb")
+    """Read a binary PPM (8- or 16-bit) into a ColorImage holding its samples."""
+    return ColorImage(*_read_netpbm(path, b"P6", 3))
 
 
 def read_pgm(path):
@@ -201,11 +201,11 @@ def _source_record(index, entry):
 
 
 def load_manifest(path):
-    """Load and validate a manifest; raises ManifestError naming every missing
-    file, any unknown split tag, or duplicated source ids, and naming the
-    first source that is not an object, lacks a key, has a non-string id or
-    split, an id holding '/' or NUL, frames/labels that are not lists of
-    strings, or a metadata value that is not an object."""
+    """Load and validate a manifest; raises ManifestError naming a missing
+    'sources' key, every missing file, any unknown split tag, or duplicated
+    source ids, and naming the first source that is not an object, lacks a
+    key, has a non-string id or split, an id holding '/' or NUL, frames/labels
+    that are not lists of strings, or a metadata value that is not an object."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -218,9 +218,11 @@ def load_manifest(path):
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} is not a JSON object")
     if type(doc.get("version")) is not int or doc["version"] != 1:  # not true, not 1.0
-        raise ManifestError(f"unsupported manifest version {doc.get('version')!r}")
+        raise ManifestError("unsupported manifest version " + json.dumps(doc.get("version")))
     root = path.parent
-    entries = doc.get("sources", [])
+    if "sources" not in doc:
+        raise ManifestError(f"manifest {path} lacks key 'sources'")
+    entries = doc["sources"]
     if not isinstance(entries, list):
         raise ManifestError(f"manifest {path}: 'sources' is not a list")
     sources, problems, seen = [], [], set()
@@ -475,12 +477,15 @@ def _generate_sequence(params, seq_index, length):
 
 def synth_generate(params, n_sequences, length, root, splits):
     """Write ``n_sequences`` sources of ``length`` frames under ``root`` and
-    return the saved manifest. ``splits`` assigns one split tag per sequence.
-    Byte-identical for a fixed seed."""
+    return the saved manifest. ``splits`` assigns one tag from SPLITS per
+    sequence; a bad tag writes nothing. Byte-identical for a fixed seed."""
     if length < 1 or n_sequences < 1:
         raise ValueError("need at least one sequence of at least one frame")
     if len(splits) != n_sequences:
         raise ValueError("splits must assign one tag per sequence")
+    for tag in splits:
+        if tag not in SPLITS:
+            raise ValueError(f"unknown split {tag!r} (choose from {list(SPLITS)})")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     sources = []

@@ -22,7 +22,7 @@ from .recurrent import ConvMguBlock, ConvMguStack2, _uniform
 from .tensor import Tensor, add, branches, conv2d_same, sigmoid
 
 __all__ = [
-    "SPACE_CHANNELS",
+    "SPACES",
     "PRESET_CHANNELS",
     "DFlowConfig",
     "DFlowModel",
@@ -30,10 +30,19 @@ __all__ = [
     "frames_for_flow",
 ]
 
-SPACE_CHANNELS = {"rgb": 3, "yuv": 3, "hsv": 3, "y": 1}
+# colour space -> (input channels, render of one RGB frame as a (channels, H, W) array)
+SPACES = {"rgb": (3, lambda frame: frame.pixels), "yuv": (3, rgb_to_yuv),
+          "hsv": (3, rgb_to_hsv), "y": (1, lambda frame: extract_y(rgb_to_yuv(frame)))}
 
 # feature-map widths of the two shipped presets
 PRESET_CHANNELS = {"small": 16, "base": 40}
+
+
+def _space(name):
+    """The (channels, render) entry of colour space ``name``."""
+    if name not in SPACES:
+        raise ValueError(f"unknown colour space {name!r} (choose from {sorted(SPACES)})")
+    return SPACES[name]
 
 
 @dataclass(frozen=True)
@@ -49,11 +58,8 @@ class DFlowConfig:
 
     def __post_init__(self):
         check_fields(self)
-        spaces = [self.flow_a_space] + ([self.flow_b_space] if self.dual_flow else [])
-        for space in spaces:
-            if space not in SPACE_CHANNELS:
-                raise ValueError(f"unknown colour space {space!r} "
-                                 f"(choose from {sorted(SPACE_CHANNELS)})")
+        for space in [self.flow_a_space] + ([self.flow_b_space] if self.dual_flow else []):
+            _space(space)
         if self.channels < 1 or self.k < 1:
             raise ValueError("channels and k must be >= 1")
         for name in ("kernel_size", "shortcut_kernel_size", "decoder_kernel_size"):
@@ -68,15 +74,8 @@ class DFlowConfig:
 
 def frames_for_flow(frames_rgb, space):
     """Render a list of RGB ColorImages into one flow's input tensors."""
-    if space == "rgb":
-        return [Tensor(img.pixels) for img in frames_rgb]
-    if space == "yuv":
-        return [Tensor(rgb_to_yuv(img).pixels) for img in frames_rgb]
-    if space == "hsv":
-        return [Tensor(rgb_to_hsv(img).pixels) for img in frames_rgb]
-    if space == "y":
-        return [Tensor(extract_y(rgb_to_yuv(img))) for img in frames_rgb]
-    raise ValueError(f"unknown colour space {space!r}")
+    _, render = _space(space)
+    return [Tensor(render(img)) for img in frames_rgb]
 
 
 class DFlowModel:
@@ -135,7 +134,7 @@ def _run_flow(flow, frames_rgb, space):
 
 
 def _build_flow(config, space, rng):
-    cin = SPACE_CHANNELS[space]
+    cin, _ = _space(space)
     if config.use_block:
         return ConvMguBlock(cin, config.channels, config.kernel_size,
                             config.shortcut_kernel_size, rng)

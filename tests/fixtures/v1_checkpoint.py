@@ -47,7 +47,7 @@ BLOCK_RESUMED = HERE / "block_tiny_resumed.npz"
 
 def fixture_window(seed=7, side=6, k=2):
     rng = np.random.default_rng(seed)
-    frames = [ColorImage(rng.uniform(0.0, 1.0, (3, side, side)), "rgb")
+    frames = [ColorImage(rng.uniform(0.0, 1.0, (3, side, side)))
               for _ in range(k + 1)]
     label = (rng.uniform(size=(1, side, side)) > 0.5).astype(np.float64)
     return FrameSequence(frames=frames, label=label)

@@ -84,7 +84,7 @@ def test_criterion_2_gradient_correctness():
     start = time.perf_counter()
     model = build_dflow(DFlowConfig(channels=2, k=2), seed=0)
     rng = np.random.default_rng(0)
-    frames = [ColorImage(rng.uniform(0, 1, size=(3, 6, 6)), "rgb") for _ in range(3)]
+    frames = [ColorImage(rng.uniform(0, 1, size=(3, 6, 6))) for _ in range(3)]
     label = (rng.uniform(size=(1, 6, 6)) > 0.5).astype(np.float64)
     sample = FrameSequence(frames=frames, label=label)
     report = gradcheck(model, sample, loss="bce", tolerance=1e-4)
@@ -243,8 +243,8 @@ def test_criterion_6_invariant_suites(micro_dataset, tmp_path):
                                adaptive_threshold_mean(g + shift, p))
 
     # colour round trip
-    img = ColorImage(rng.uniform(0, 1, size=(3, 32, 32)), "rgb")
-    assert np.abs(yuv_to_rgb(rgb_to_yuv(img)).pixels - img.pixels).max() < 1e-6
+    img = ColorImage(rng.uniform(0, 1, size=(3, 32, 32)))
+    assert np.abs(yuv_to_rgb(rgb_to_yuv(img)) - img.pixels).max() < 1e-6
 
     # fixed-seed training curves are bit-identical across two runs
     config = TrainConfig(steps=8, eval_interval=4, lr=1e-3, seed=3)
@@ -282,7 +282,7 @@ def test_criterion_7_shape_regression():
             for channels in (2, 5):
                 model = build_dflow(
                     DFlowConfig("rgb", "yuv", channels=channels, k=k), seed=6)
-                frames = [ColorImage(rng.uniform(0, 1, size=(3, h, w)), "rgb")
+                frames = [ColorImage(rng.uniform(0, 1, size=(3, h, w)))
                           for _ in range(k + 1)]
                 probs = model.forward_window(frames).data
                 assert probs.shape == (1, h, w)

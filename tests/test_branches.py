@@ -41,7 +41,7 @@ def within(seconds, fn):
 
 
 def windows(rng, n, k, side):
-    return [([ColorImage(rng.uniform(0, 1, size=(3, side, side)), "rgb")
+    return [([ColorImage(rng.uniform(0, 1, size=(3, side, side)))
               for _ in range(k + 1)],
              (rng.uniform(size=(1, side, side)) > 0.5).astype(np.float64))
             for _ in range(n)]

@@ -300,13 +300,20 @@ class TestManifest:
         ([], "not a JSON object"),
         ({"version": 1, "sources": {"id": "s0"}}, "'sources' is not a list"),
         ({"version": 2, "sources": []}, "unsupported manifest version 2"),
-        ({"version": True, "sources": []}, "unsupported manifest version True"),
+        ({"version": True, "sources": []}, "unsupported manifest version true"),
         ({"version": 1.0, "sources": []}, r"unsupported manifest version 1\.0"),
-    ], ids=["list", "sources_object", "version_2", "version_true", "version_float"])
+        ({"sources": []}, "unsupported manifest version null"),
+        ({"version": 1}, "lacks key 'sources'"),
+    ], ids=["list", "sources_object", "version_2", "version_true", "version_float",
+            "version_missing", "sources_missing"])
     def test_top_level_that_is_not_an_object_is_rejected(self, tmp_path, doc, named):
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=named):
             load_manifest(tmp_path)
+
+    def test_empty_sources_list_is_an_empty_dataset(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"version": 1, "sources": []}))
+        assert load_manifest(tmp_path).sources == []
 
 
 class TestWindowing:
@@ -374,8 +381,8 @@ class TestWindowing:
 
 class TestFrameSequence:
     def test_rejects_mixed_dimensions(self):
-        a = ColorImage(np.zeros((3, 4, 4)), "rgb")
-        b = ColorImage(np.zeros((3, 5, 5)), "rgb")
+        a = ColorImage(np.zeros((3, 4, 4)))
+        b = ColorImage(np.zeros((3, 5, 5)))
         with pytest.raises(ValueError):
             FrameSequence(frames=[a, b], label=None)
 
@@ -384,12 +391,12 @@ class TestFrameSequence:
             FrameSequence(frames=[], label=None)
 
     def test_rejects_a_label_of_another_size(self):
-        a = ColorImage(np.zeros((3, 4, 4)), "rgb")
+        a = ColorImage(np.zeros((3, 4, 4)))
         with pytest.raises(ValueError, match=r"label shape \(1, 4, 5\) does not match"):
             FrameSequence(frames=[a], label=np.zeros((1, 4, 5)))
 
     def test_rejects_unordered_indices(self):
-        a = ColorImage(np.zeros((3, 4, 4)), "rgb")
+        a = ColorImage(np.zeros((3, 4, 4)))
         with pytest.raises(ValueError):
             FrameSequence(frames=[a, a], label=None, frame_indices=(3, 2))
 
@@ -477,6 +484,12 @@ class TestSynthGenerate:
         with pytest.raises(ValueError, match="at least one sequence"):
             synth_generate(SynthSceneParams(), 0, 3, tmp_path, splits=[])
 
+    def test_unknown_split_tag_is_rejected_before_anything_is_written(self, tmp_path):
+        root = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown split 'dev'"):
+            synth_generate(SynthSceneParams(width=8, height=8), 2, 3, root, ["train", "dev"])
+        assert not root.exists()
+
     @pytest.mark.parametrize("width, height", [(1, 1), (1, 40), (40, 1)])
     def test_distractors_need_two_pixels_on_each_side(self, width, height):
         # a distractor patch is at least 2 pixels wide
@@ -504,7 +517,7 @@ class TestLoadedFrames:
 
         def rebuild(seq):
             src = sources[seq.source_id]
-            frames = [ColorImage(read_frame(manifest.root / src.frames[i]).pixels, "rgb")
+            frames = [ColorImage(read_frame(manifest.root / src.frames[i]).pixels)
                       for i in seq.frame_indices]
             label = read_pgm(manifest.root / src.labels[seq.frame_indices[-1]])
             return FrameSequence(frames, label, seq.source_id, seq.frame_indices)

@@ -10,6 +10,7 @@ from dflow.network import (
     DFlowConfig,
     DFlowModel,
     PRESET_CHANNELS,
+    SPACES,
     build_dflow,
     frames_for_flow,
 )
@@ -20,7 +21,7 @@ from oracles import cell_weight_arrays, finite_difference, mean_all, rel_err, st
 
 
 def rand_frames(rng, n, side=8):
-    return [ColorImage(rng.uniform(0, 1, size=(3, side, side)), "rgb") for _ in range(n)]
+    return [ColorImage(rng.uniform(0, 1, size=(3, side, side))) for _ in range(n)]
 
 
 def tiny_config(**overrides):
@@ -153,7 +154,7 @@ class TestSingleFlow:
     def test_constant_sequence_gives_constant_map_on_unit_grid(self):
         model = build_dflow(tiny_config(flow_a_space="yuv", flow_b_space=None),
                             seed=21)
-        img = ColorImage(np.full((3, 1, 1), 0.4), "rgb")
+        img = ColorImage(np.full((3, 1, 1), 0.4))
         p = model.forward_window([img, img, img])
         assert p.data.shape == (1, 1, 1)
         assert 0.0 < p.data.item() < 1.0
@@ -171,20 +172,20 @@ class TestSingleFlow:
 class TestFramesForFlow:
     def test_channel_counts(self):
         rng = np.random.default_rng(24)
-        frames = [ColorImage(rng.uniform(0, 1, size=(3, 4, 4)), "rgb")]
-        assert frames_for_flow(frames, "rgb")[0].data.shape == (3, 4, 4)
-        assert frames_for_flow(frames, "yuv")[0].data.shape == (3, 4, 4)
-        assert frames_for_flow(frames, "hsv")[0].data.shape == (3, 4, 4)
-        assert frames_for_flow(frames, "y")[0].data.shape == (1, 4, 4)
+        frames = [ColorImage(rng.uniform(0, 1, size=(3, 4, 4)))]
+        counts = {space: channels for space, (channels, _) in SPACES.items()}
+        assert counts == {"rgb": 3, "yuv": 3, "hsv": 3, "y": 1}
+        for space, channels in counts.items():
+            assert frames_for_flow(frames, space)[0].data.shape == (channels, 4, 4)
 
     def test_unknown_space_is_rejected(self):
-        frames = [ColorImage(np.zeros((3, 4, 4)), "rgb")]
+        frames = [ColorImage(np.zeros((3, 4, 4)))]
         with pytest.raises(ValueError, match="unknown colour space 'lab'"):
             frames_for_flow(frames, "lab")
 
     def test_rgb_passthrough_is_exact(self):
         rng = np.random.default_rng(25)
-        img = ColorImage(rng.uniform(0, 1, size=(3, 4, 4)), "rgb")
+        img = ColorImage(rng.uniform(0, 1, size=(3, 4, 4)))
         npt.assert_array_equal(frames_for_flow([img], "rgb")[0].data, img.pixels)
 
 
@@ -192,7 +193,7 @@ class TestEndToEndGradient:
     def test_bce_gradient_through_full_network(self):
         model = build_dflow(DFlowConfig(channels=2, k=2), seed=26)
         rng = np.random.default_rng(27)
-        frames = [ColorImage(rng.uniform(0, 1, size=(3, 6, 6)), "rgb")
+        frames = [ColorImage(rng.uniform(0, 1, size=(3, 6, 6)))
                   for _ in range(3)]
         label = (rng.uniform(size=(1, 6, 6)) > 0.5).astype(np.float64)
 

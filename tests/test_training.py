@@ -197,7 +197,7 @@ class TestOneWindowAtATime:
     def test_non_finite_window_aborts_before_any_update(self, seed):
         good = [v1_checkpoint.fixture_window(seed=s) for s in (11, 12)]
         bad = v1_checkpoint.fixture_window(seed=13)
-        bad.frames[0].pixels[...] = np.nan
+        bad.frames[0] = ColorImage(np.full_like(bad.frames[0].pixels, np.nan))
         config = TrainConfig(loss="focal", steps=1, batch_size=2, seed=seed)
         runs = [TrainRun(model=fixture_model(use_block=True), config=config)
                 for _ in range(2)]
@@ -240,7 +240,7 @@ class TestSgdRecurrenceOracle:
         lr = 0.5
         px = np.zeros((3, 1, 1))
         px[1] = x
-        seq = FrameSequence(frames=[ColorImage(px, "rgb")],
+        seq = FrameSequence(frames=[ColorImage(px)],
                             label=np.array([[[y]]]))
         model = SinglePixelModel(w0=0.2)
         run = train(model, {"train": [seq]},
@@ -257,7 +257,7 @@ class TestAdam:
     def test_single_scalar_step_matches_hand_computation(self):
         seq_px = np.zeros((3, 1, 1))
         seq_px[1] = 1.0
-        seq = FrameSequence(frames=[ColorImage(seq_px, "rgb")],
+        seq = FrameSequence(frames=[ColorImage(seq_px)],
                             label=np.array([[[1.0]]]))
         model = SinglePixelModel(w0=0.0)
         config = TrainConfig(optimizer="adam", lr=0.1, steps=1, seed=0)
@@ -271,7 +271,7 @@ class TestAdam:
 
 class TestGradcheck:
     def make_sample(self, rng, side=6, k=2):
-        frames = [ColorImage(rng.uniform(0, 1, size=(3, side, side)), "rgb")
+        frames = [ColorImage(rng.uniform(0, 1, size=(3, side, side)))
                   for _ in range(k + 1)]
         label = (rng.uniform(size=(1, side, side)) > 0.5).astype(np.float64)
         return FrameSequence(frames=frames, label=label)
