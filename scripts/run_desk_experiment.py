@@ -33,7 +33,7 @@ def main():
 
     run(["synth", "--out", str(dataset), "--seed", seed])
     run(["train", "--dataset", str(dataset), "--out", str(work / "run"),
-         "--seed", seed, "--preset", "small", "--steps", str(args.steps)])
+         "--seed", seed, "--channels", "16", "--steps", str(args.steps)])
     run(["eval", "--checkpoint", str(work / "run" / "checkpoint.dflw"),
          "--dataset", str(dataset), "--out", str(work / "eval"),
          "--split", "val"])

@@ -87,8 +87,6 @@ def _build_parser():
         p.add_argument("--k", type=int, default=4,
                        help="history frames before the current one")
         p.add_argument("--channels", type=int, default=channels, help="feature maps per flow")
-        p.add_argument("--preset", choices=sorted(network.PRESET_CHANNELS),
-                       help="feature maps per flow from a preset, in place of --channels")
         p.add_argument("--loss", choices=["bce", "focal"], default="bce",
                        help="training loss")
         p.add_argument("--lr", type=_number, default=1e-3, help="Adam learning rate")
@@ -214,26 +212,24 @@ def _echo_config(args):
     return out_dir
 
 
-def _valid(cls, **values):
-    """``cls(**values)`` with the ValueError of its checks as a _CliError; call
+def _valid(make, **values):
+    """``make(**values)`` with the ValueError of its checks as a _CliError; call
     it before ``_echo_config``, so that a rejected value writes nothing."""
     try:
-        return cls(**values)
+        return make(**values)
     except ValueError as exc:
         raise _CliError(str(exc))
 
 
 def _model_config(args, colors, **extra):
-    """One flow per part of ``colors`` (at most two), each as wide as the
-    preset or ``--channels``."""
+    """One flow per part of ``colors`` (at most two), each ``--channels`` wide."""
     parts = colors.split("+")
     if len(parts) > 2:
         raise _CliError(f"at most two flows, like rgb+yuv; got {colors!r}")
     return _valid(
         network.DFlowConfig,
         flow_a_space=parts[0], flow_b_space=parts[1] if len(parts) == 2 else None,
-        channels=network.PRESET_CHANNELS[args.preset] if args.preset else args.channels,
-        k=args.k, **extra)
+        channels=args.channels, k=args.k, **extra)
 
 
 def _load_run(args):
@@ -283,7 +279,7 @@ def _cmd_train(args):
         run.config = _valid(training.TrainConfig,
                             **{**dataclasses.asdict(run.config), "steps": args.steps})
         mc = run.model.config  # echo the settings the run keeps, not the flags
-        vars(args).update(k=mc.k, channels=mc.channels, use_block=mc.use_block, preset=None,
+        vars(args).update(k=mc.k, channels=mc.channels, use_block=mc.use_block,
                           colors="+".join(filter(None, (mc.flow_a_space, mc.flow_b_space))),
                           loss=run.config.loss, lr=run.config.lr, seed=run.config.seed)
     out_dir = _echo_config(args)
@@ -364,8 +360,6 @@ def _cmd_params(args):
 
 
 def _cmd_gradcheck(args):
-    if args.tolerance <= 0:
-        raise _CliError(f"--tolerance must be > 0, got {args.tolerance}")
     if args.seed < 0:
         raise _CliError(f"--seed must be >= 0, got {args.seed}")
     if args.size < 1:
@@ -377,7 +371,8 @@ def _cmd_gradcheck(args):
               for _ in range(args.k + 1)]
     label = (rng.uniform(size=(1, args.size, args.size)) > 0.5).astype(np.float64)
     sample = data.FrameSequence(frames=frames, label=label)
-    report = training.gradcheck(model, sample, loss=args.loss, tolerance=args.tolerance)
+    report = _valid(training.gradcheck, model=model, sample=sample, loss=args.loss,
+                    tolerance=args.tolerance)
     print(report)
     return 0 if report.passed else 2
 

@@ -253,7 +253,7 @@ class FrameSequence:
     """k+1 ordered colour frames plus the final frame's binary label."""
 
     frames: list            # list[ColorImage], oldest first
-    label: np.ndarray | None
+    label: np.ndarray
     source_id: str = ""
     frame_indices: tuple = ()
 
@@ -264,7 +264,7 @@ class FrameSequence:
         for img in self.frames:
             if (img.height, img.width) != dims:
                 raise ValueError("all frames in a sequence must share dimensions")
-        if self.label is not None and self.label.shape[-2:] != dims:
+        if self.label.shape[-2:] != dims:
             raise ValueError(f"label shape {self.label.shape} does not match frames {dims}")
         if self.frame_indices and list(self.frame_indices) != sorted(set(self.frame_indices)):
             raise ValueError("frame indices must be strictly increasing")

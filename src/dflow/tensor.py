@@ -16,8 +16,9 @@ a product with one return a new Zero at once, with no work and no tape record.
 
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
-per thread). Gradients accumulate additively when a tensor feeds several
-consumers, in tape order, so replaying the same tape is bit-reproducible.
+per thread). backward replays a tape into the parameters its caller names.
+Gradients accumulate additively when a tensor feeds several consumers, in
+tape order, so replaying the same tape is bit-reproducible.
 
 Every op returns ``_record(y, inputs, vjp)``, a tensor of the array y that
 gets a fresh data-free :class:`_Node` and a tape record if a tape is active
@@ -68,9 +69,9 @@ _MAX_RANK = 5
 class Tensor:
     """A dense real array of rank 0..5 with an optional gradient slot.
 
-    ``requires_grad`` marks the tensor as a trainable parameter: after
-    :func:`backward` it will carry a gradient of identical shape in
-    ``.grad``. Ordinary data (frames, labels) stays untracked and never
+    ``requires_grad`` marks the tensor as a trainable parameter: after a
+    :func:`backward` that names it, it carries a gradient of identical shape
+    in ``.grad``. Ordinary data (frames, labels) stays untracked and never
     receives a gradient. Non-float input is converted to float64; float32
     arrays are kept as-is (an inference-only option), and every op
     preserves its input dtype.
@@ -132,12 +133,11 @@ class GradTape:
 
         with GradTape() as tape:
             loss = ...
-        backward(tape, loss)
+        backward(tape, loss, params)
     """
 
     def __init__(self):
         self._records = []
-        self._params = []  # parameters read only by ops that returned a Zero
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -192,41 +192,31 @@ def _record(y, inputs, vjp):
     return out
 
 
-def _zero_output(shape, dtype, inputs):
-    """An op's Zero output: no record, but backward gives its parameters a gradient."""
-    for tape in _tape_stack()[-1:]:  # the active tape, if there is one
-        tape._params.extend(t for t in inputs if t._node is t)
-    return Zero(shape, dtype)
+def backward(tape, loss, params, accumulate=False):
+    """Set ``.grad`` on each tensor in ``params`` to its gradient of ``loss``.
 
-
-def backward(tape, loss, accumulate=False):
-    """Populate ``.grad`` on every trainable tensor recorded on ``tape``.
-
-    ``loss`` must be a rank-0 tensor produced under the tape. Trainable
-    tensors recorded, or read by an op that returned a :class:`Zero`, that do
-    not influence the loss get an all-zero gradient; untracked ones do not. With
-    ``accumulate`` a trainable tensor's sum starts from its ``.grad``, if it
-    has one, instead of replacing it: replaying the tapes of several losses
-    one after the other, last recorded first, adds every term in the order
-    one replay of a tape holding them all uses.
+    ``loss`` must be a rank-0 tensor produced under the tape. A named tensor
+    the loss does not depend on gets an all-zero gradient; tensors not named
+    keep their ``.grad``. With ``accumulate`` a named tensor's sum starts from
+    its ``.grad``, if it has one, instead of replacing it: replaying the tapes
+    of several losses one after the other, last recorded first, adds every
+    term in the order one replay of a tape holding them all uses.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if not tape._records:
         raise ValueError("cannot backpropagate through an empty tape")
-    node, produced, trainable = loss._node, False, {id(p): p for p in tape._params}
-    for out, inputs, _ in _leaves(tape._records):
-        produced = produced or out is node
-        trainable.update((id(n), n) for n in inputs if isinstance(n, Tensor))
-    if not produced:
+    node = loss._node
+    if not any(out is node for out, _, _ in _leaves(tape._records)):
         raise ValueError("loss was not produced under this tape")
+    params = list(params)
     grads = {id(node): np.ones((), dtype=loss.data.dtype)}
     if accumulate:
-        grads.update((i, t.grad) for i, t in trainable.items() if t.grad is not None)
+        grads.update((id(p), p.grad) for p in params if p.grad is not None)
     _replay(tape._records, grads)
-    for t in trainable.values():
-        g = grads.get(id(t))
-        t.grad = np.array(g) if g is not None else np.zeros_like(t.data)
+    for p in params:
+        g = grads.get(id(p))
+        p.grad = np.array(g) if g is not None else np.zeros_like(p.data)
 
 
 def _replay(records, grads):
@@ -315,7 +305,6 @@ def branches(fns):
     tapes = [GradTape() for _ in fns]
     results = _run_all([partial(_on_tape, tape, fn) for fn, tape in zip(fns, tapes)])
     stack[-1]._records.append(_Branches(tapes))
-    stack[-1]._params.extend(p for tape in tapes for p in tape._params)
     return results
 
 
@@ -376,7 +365,7 @@ def hadamard(a, b):
     _require_same_shape(a, b, "hadamard")
     ad, bd = a.data, b.data
     if isinstance(a, Zero) or isinstance(b, Zero):
-        return _zero_output(ad.shape, np.result_type(ad, bd), (a, b))
+        return Zero(ad.shape, np.result_type(ad, bd))
 
     def vjp(g):
         return (g * bd, g * ad)
@@ -506,7 +495,7 @@ def _conv_same(x, kernel, bias, nd):
     xd, kd = x.data, kernel.data
     _check_conv(xd, kd, bias, nd)
     if bias is None and isinstance(x, Zero):
-        return _zero_output((kd.shape[0],) + xd.shape[1:], np.result_type(xd, kd), (x, kernel))
+        return Zero((kd.shape[0],) + xd.shape[1:], np.result_type(xd, kd))
     y = _conv_forward(xd, kd)
     if bias is not None:
         y += bias.data.reshape(-1, *(1,) * nd)

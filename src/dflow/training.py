@@ -184,7 +184,7 @@ def resume(run, data):
                 term = loss_fn(run.model.forward_window(seq.frames), seq.label)
                 loss = term if config.batch_size == 1 else scale(term, 1.0 / config.batch_size)
             if np.isfinite(loss.data):
-                backward(tape, loss, accumulate=True)
+                backward(tape, loss, params.values(), accumulate=True)
             terms.append(term.item())
         del tape  # the last window's, before the update and validation
         # not sum(): from Python 3.12 it sums floats with compensation
@@ -284,12 +284,12 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4):
 
     with GradTape() as tape:
         loss_t = loss_fn(model.forward_window(sample.frames), sample.label)
-    backward(tape, loss_t)
+    backward(tape, loss_t, params.values())
 
     report = {}
     for name, p in params.items():
         grad = p.grad
-        if grad is None or not np.all(np.isfinite(grad)):
+        if not np.all(np.isfinite(grad)):
             raise DivergenceError(f"non-finite analytic gradient for {name}")
         flat = p.data.reshape(-1)
         worst = 0.0

@@ -384,7 +384,7 @@ def resume_one_tape(run, data):
             raise DivergenceError(
                 f"non-finite training loss {loss_value!r} at step {step} "
                 f"(seed {config.seed}, lr {config.lr})")
-        backward(tape, loss)
+        backward(tape, loss, params.values())
 
         if config.optimizer == "sgd":
             for p in params.values():

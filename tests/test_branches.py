@@ -59,7 +59,7 @@ def loss_and_grads(model, forward, batch, loss_fn):
             loss = term if loss is None else add(loss, term)
         if len(batch) > 1:
             loss = scale(loss, 1.0 / len(batch))
-    backward(tape, loss)
+    backward(tape, loss, model.parameters().values())
     return probs, loss.data, {name: t.grad for name, t in model.parameters().items()}
 
 
@@ -170,7 +170,7 @@ class TestBranches:
                     a, b, c, d = (chain(x, w, n) for w, n in zip(ws, depths))
                 loss = sum_all(add(add(add(a, b), c), d))
             assert len(tape) == 2 * sum(depths) + 4
-            backward(tape, loss)
+            backward(tape, loss, ws)
             return [w.grad.copy() for w in ws]
 
         for g, h in zip(within(60, lambda: grads(True)), grads(False)):
@@ -194,7 +194,7 @@ class TestBranches:
                     for out in outs:
                         loss = out if loss is None else add(loss, out)
                 loss = scale(sum_all(loss), 0.5)
-            backward(tape, loss)
+            backward(tape, loss, ws)
             return [w.grad.copy() for w in ws]
 
         want = run(False)

@@ -172,11 +172,10 @@ class TestTrain:
                      "--colors", "yuv", "--use-block", "--loss", "focal", "--steps", "2"]) == 0
         out = tmp_path / "resumed"
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
-                     "--checkpoint", str(first / "checkpoint.dflw"), "--steps", "3",
-                     "--preset", "base"]) == 0
+                     "--checkpoint", str(first / "checkpoint.dflw"), "--steps", "3"]) == 0
         echoed = json.loads((out / "resolved_config.json").read_text())
         kept = {"k": 2, "channels": 2, "lr": 0.01, "seed": 7, "colors": "yuv",
-                "use_block": True, "loss": "focal", "preset": None, "steps": 3}
+                "use_block": True, "loss": "focal", "steps": 3}
         assert {key: echoed[key] for key in kept} == kept
 
     def test_fresh_run_echoes_the_use_block_it_builds(self, trained_dir):
@@ -464,7 +463,12 @@ class TestGradcheckCommand:
     def test_tolerance_must_be_positive(self, capsys, tolerance):
         assert main(["gradcheck", f"--tolerance={tolerance}"]) == 1
         assert capsys.readouterr().err == (
-            f"error: --tolerance must be > 0, got {float(tolerance)}\n")
+            f"error: tolerance must be finite and > 0, got {float(tolerance)}\n")
+
+    def test_model_over_the_parameter_cap_is_a_validation_error(self, capsys):
+        assert main(["gradcheck", "--channels", "16"]) == 1
+        assert capsys.readouterr().err == (
+            "error: model has 29649 parameters; gradcheck is capped at 5000\n")
 
     def test_non_finite_config_tolerance_is_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -563,7 +567,7 @@ class TestValidationErrors:
         ({"k": True}, "'k' must be an integer"),
         ({"lr": None}, "'lr' must be a number"),
         ({"colors": 5}, "'colors' must be a string"),
-        ({"preset": "huge"}, "'preset' must be one of ['base', 'small']"),
+        ({"preset": "huge"}, "unknown config keys: ['preset']"),
         ({"use_block": "yes"}, "'use_block' must be true or false"),
         ({"loss": "dice"}, "'loss' must be one of ['bce', 'focal']"),
         ([["steps", 3]], "is not a JSON object"),
@@ -724,7 +728,7 @@ class TestResolvedConfig:
             "height": 32, "noise": 0.02, "drift": 0.1, "distractors": 2, "flicker": 0.5}),
         (["train", "--dataset", "missing"], 2, {
             "seed": 0, "dataset": "missing", "k": 4, "channels": 40, "colors": "rgb+yuv",
-            "loss": "bce", "steps": 500, "lr": 0.001, "preset": None, "use_block": False,
+            "loss": "bce", "steps": 500, "lr": 0.001, "use_block": False,
             "checkpoint": None}),
         (["infer", "--checkpoint", "missing.dflw", "--dataset", "missing"], 2, {
             "checkpoint": "missing.dflw", "dataset": "missing", "split": "val"}),
@@ -735,8 +739,8 @@ class TestResolvedConfig:
             "dt_fraction": 0.5}),
         (["params"], 0, {"m": 3, "gamma": 3, "kappa": 40, "n": 40, "f": 3}),
         (["ablate", "--dataset", "missing"], 2, {
-            "seed": 0, "dataset": "missing", "k": 4, "channels": 16, "preset": None,
-            "loss": "bce", "steps": 200, "lr": 0.001}),
+            "seed": 0, "dataset": "missing", "k": 4, "channels": 16, "loss": "bce",
+            "steps": 200, "lr": 0.001}),
     ], ids=["synth", "train", "infer", "eval", "baseline", "params", "ablate"])
     def test_defaults_are_echoed(self, tmp_path, monkeypatch, capsys, argv, rc, expected):
         monkeypatch.chdir(tmp_path)

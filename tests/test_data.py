@@ -384,11 +384,11 @@ class TestFrameSequence:
         a = ColorImage(np.zeros((3, 4, 4)))
         b = ColorImage(np.zeros((3, 5, 5)))
         with pytest.raises(ValueError):
-            FrameSequence(frames=[a, b], label=None)
+            FrameSequence(frames=[a, b], label=np.zeros((1, 4, 4)))
 
     def test_rejects_no_frames(self):
         with pytest.raises(ValueError, match="at least one frame"):
-            FrameSequence(frames=[], label=None)
+            FrameSequence(frames=[], label=np.zeros((1, 4, 4)))
 
     def test_rejects_a_label_of_another_size(self):
         a = ColorImage(np.zeros((3, 4, 4)))
@@ -398,7 +398,7 @@ class TestFrameSequence:
     def test_rejects_unordered_indices(self):
         a = ColorImage(np.zeros((3, 4, 4)))
         with pytest.raises(ValueError):
-            FrameSequence(frames=[a, a], label=None, frame_indices=(3, 2))
+            FrameSequence(frames=[a, a], label=np.zeros((1, 4, 4)), frame_indices=(3, 2))
 
 
 class TestSynthGenerate:

@@ -56,8 +56,8 @@ def _run(fn, inputs, upstream):
     with GradTape() as tape:
         out = fn(*inputs)
         loss = sum_all(hadamard(out, Tensor(upstream)))
-    backward(tape, loss)
-    return out.data, [t.grad for t in inputs if t.requires_grad]
+    backward(tape, loss, inputs)
+    return out.data, [t.grad for t in inputs]
 
 
 def _assert_same(fused, chained):
@@ -116,8 +116,9 @@ class TestMguOps:
                 h1 = step(cell, inputs[0], inputs[2])[0]
                 h2 = step(cell, inputs[1], h1)[0]
                 loss = sum_all(hadamard(h2, Tensor(upstream)))
-            backward(tape, loss)
-            grads = [t.grad for t in inputs] + [t.grad for t in cell.parameters().values()]
+            params = [*inputs, *cell.parameters().values()]
+            backward(tape, loss, params)
+            grads = [t.grad for t in params]
             return (h1.data, h2.data), grads, len(tape)
 
         fused = unroll(ConvMguCell.step_with_gate)
@@ -160,7 +161,7 @@ def _loss_case(fn, p, y):
     pt = Tensor(p.copy(), requires_grad=True)
     with GradTape() as tape:
         loss = scale(fn(pt, y), 0.5)
-    backward(tape, loss)
+    backward(tape, loss, [pt])
     return loss.data, pt.grad, len(tape) - 1
 
 

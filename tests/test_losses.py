@@ -59,7 +59,7 @@ class TestBce:
             pt = Tensor(p.copy(), requires_grad=True)
             with GradTape() as tape:
                 loss = loss_fn(pt, y)
-            backward(tape, loss)
+            backward(tape, loss, [pt])
             results.append((loss.item(), pt.grad))
         (bce, bce_grad), (focal, focal_grad) = results
         assert focal == 0.5 * bce
@@ -80,7 +80,7 @@ class TestBce:
         y = rand_label(rng, (1, 4, 4))
         with GradTape() as tape:
             loss = bce_loss(p, y)
-        backward(tape, loss)
+        backward(tape, loss, [p])
         expected = (p.data - y) / (p.data * (1.0 - p.data)) / p.data.size
         npt.assert_allclose(p.grad, expected, atol=1e-9)
 
@@ -126,7 +126,7 @@ class TestFocal:
         y = rand_label(rng, (1, 4, 4))
         with GradTape() as tape:
             loss = focal_loss(p, y)
-        backward(tape, loss)
+        backward(tape, loss, [p])
 
         def loss_value():
             return focal_loss(Tensor(p.data), y).item()

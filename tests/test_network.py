@@ -202,7 +202,7 @@ class TestEndToEndGradient:
 
         with GradTape() as tape:
             loss = bce_loss(model.forward_window(frames), label)
-        backward(tape, loss)
+        backward(tape, loss, model.parameters().values())
         for name, p in model.parameters().items():
             fd = finite_difference(loss_value, p.data)
             assert rel_err(p.grad, fd).max() < 1e-4, name
@@ -301,7 +301,7 @@ class TestZeroInitialState:
         with GradTape() as tape:
             loss = bce_loss(model.forward_window(rand_frames(rng, 5)), label)
         assert len(calls) == 73
-        backward(tape, loss)
+        backward(tape, loss, model.parameters().values())
         assert len(calls) == 73 + 53
 
     @pytest.mark.parametrize("use_block", [False, True], ids=["stack", "block"])
@@ -312,7 +312,7 @@ class TestZeroInitialState:
         label = (rng.uniform(size=(1, 8, 8)) > 0.5).astype(np.float64)
         with GradTape() as tape:
             loss = bce_loss(model.forward_window(rand_frames(rng, 2)), label)
-        backward(tape, loss)
+        backward(tape, loss, model.parameters().values())
         for name, p in model.parameters().items():
             assert p.grad.shape == p.data.shape and np.all(np.isfinite(p.grad)), name
             assert np.any(p.grad), name
@@ -320,16 +320,16 @@ class TestZeroInitialState:
     @pytest.mark.parametrize("in_branch", [False, True], ids=["direct", "in_branch"])
     def test_one_frame_still_gives_u_f_and_u_h_a_zero_gradient(self, in_branch):
         """With one frame the only U_f and U_h convs read the zero state, so
-        nothing records them; backward still gives U_f and U_h their exact
-        zero gradient, so an optimiser sees every parameter. A branch's
-        sub-tape hands the parameters it noted to the outer tape."""
+        nothing records them; backward still gives U_f and U_h, named among
+        the parameters, their exact zero gradient, so an optimiser sees every
+        parameter, also when the stack ran in a branch."""
         rng = np.random.default_rng(0)
         stack = ConvMguStack2(3, 2, 3, rng)
         frames = [Tensor(rng.uniform(size=(3, 4, 4)))]
         with GradTape() as tape:
             h = branches([partial(stack.forward, frames)])[0] if in_branch else stack.forward(frames)
             loss = mean_all(h)
-        backward(tape, loss)
+        backward(tape, loss, stack.parameters().values())
         for name, p in stack.parameters().items():
             assert p.grad.shape == p.data.shape, name
             assert np.any(p.grad) != name.endswith(("u_f", "u_h")), name

@@ -174,7 +174,7 @@ class TestConvMguStep:
 
         with GradTape() as tape:
             loss = mean_all(tanh(cell.step(x, h_prev)))
-        backward(tape, loss)
+        backward(tape, loss, cell.parameters().values())
         for name, p in cell.parameters().items():
             fd = finite_difference(loss_value, p.data)
             assert rel_err(p.grad, fd).max() < 1e-4, name
@@ -311,6 +311,6 @@ class TestGradcheckSensitivity:
         monkeypatch.setattr(tensor_mod, "_d_sigmoid", lambda y: -(y * (1.0 - y)))
         with GradTape() as tape:
             loss = mean_all(tanh(cell.step(x, h_prev)))
-        backward(tape, loss)
+        backward(tape, loss, cell.parameters().values())
         fd = finite_difference(loss_value, cell.w_f.data)
         assert rel_err(cell.w_f.grad, fd).max() > 1e-2

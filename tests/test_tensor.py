@@ -224,7 +224,7 @@ class TestConvKernel:
         conv = conv2d_same if len(spatial) == 2 else conv3d_same
         with GradTape() as tape:
             loss = sum_all(hadamard(conv(x, k), Tensor(g)))
-        backward(tape, loss)
+        backward(tape, loss, [k])
         expected = g.reshape(cout, -1) @ _im2col(_pad(x.data, m), m).T
         assert np.array_equal(k.grad, expected.reshape(k.shape))
         assert k.grad.flags.c_contiguous
@@ -309,7 +309,7 @@ class TestBackward:
         w = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
         with GradTape() as tape:
             loss = sum_all(hadamard(w, w))
-        backward(tape, loss)
+        backward(tape, loss, [w])
         npt.assert_allclose(w.grad, 2.0 * w.data, atol=1e-12)
 
     def test_conv_gradients_match_finite_differences(self):
@@ -323,7 +323,7 @@ class TestBackward:
 
         with GradTape() as tape:
             loss = sum_all(conv2d_same(x, w, b))
-        backward(tape, loss)
+        backward(tape, loss, [w, b])
         for t in (w, b):
             fd = finite_difference(loss_value, t.data)
             assert rel_err(t.grad, fd).max() < 1e-5
@@ -334,7 +334,7 @@ class TestBackward:
             loss = sum_all(hadamard(const, const))
         assert len(tape) == 0
         with pytest.raises(ValueError, match="empty tape"):
-            backward(tape, loss)
+            backward(tape, loss, [const])
         assert const.grad is None
 
     def test_loss_must_be_scalar(self):
@@ -342,7 +342,7 @@ class TestBackward:
         with GradTape() as tape:
             out = hadamard(w, w)
         with pytest.raises(ValueError):
-            backward(tape, out)
+            backward(tape, out, [w])
 
     def test_loss_must_come_from_the_tape(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -351,23 +351,34 @@ class TestBackward:
         with GradTape():
             loss = sum_all(hadamard(w, w))
         with pytest.raises(ValueError, match="loss was not produced under this tape"):
-            backward(tape, loss)
+            backward(tape, loss, [w])
 
     def test_gradients_accumulate_over_consumers(self):
         w = Tensor(np.full((3,), 2.0), requires_grad=True)
         with GradTape() as tape:
             loss = sum_all(add(hadamard(w, w), w))  # d/dw = 2w + 1
-        backward(tape, loss)
+        backward(tape, loss, [w])
         npt.assert_allclose(w.grad, 2.0 * w.data + 1.0, atol=1e-12)
 
     def test_unused_registered_parameter_gets_zero_gradient(self):
         used = Tensor(np.ones(3), requires_grad=True)
         unused = Tensor(np.ones(3), requires_grad=True)
+        never_read = Tensor(np.ones(3), requires_grad=True)
         with GradTape() as tape:
             _dead_end = hadamard(unused, Tensor(np.zeros(3)))
             loss = sum_all(hadamard(used, used))
-        backward(tape, loss)
+        backward(tape, loss, [used, unused, never_read])
         npt.assert_array_equal(unused.grad, np.zeros(3))
+        npt.assert_array_equal(never_read.grad, np.zeros(3))
+
+    def test_a_tracked_tensor_not_named_keeps_no_gradient(self):
+        named = Tensor(np.full(3, 2.0), requires_grad=True)
+        read = Tensor(np.full(3, 3.0), requires_grad=True)
+        with GradTape() as tape:
+            loss = sum_all(hadamard(named, read))
+        backward(tape, loss, [named])
+        npt.assert_array_equal(named.grad, read.data)
+        assert read.grad is None
 
     def test_replaying_tape_twice_is_bit_identical(self):
         rng = np.random.default_rng(13)
@@ -375,9 +386,9 @@ class TestBackward:
         w = Tensor(rng.uniform(-1, 1, size=(2, 2, 3, 3)), requires_grad=True)
         with GradTape() as tape:
             loss = mean_all(tanh(conv2d_same(x, w)))
-        backward(tape, loss)
+        backward(tape, loss, [w])
         first = w.grad.copy()
-        backward(tape, loss)
+        backward(tape, loss, [w])
         npt.assert_array_equal(w.grad, first)
 
     def test_accumulating_tapes_last_first_equals_one_tape(self):
@@ -393,11 +404,11 @@ class TestBackward:
 
         with GradTape() as tape:
             loss = add(window(xs[0]), window(xs[1]))
-        backward(tape, loss)
+        backward(tape, loss, ws)
         one_tape = [w.grad for w in ws]
         with GradTape() as tape:
             loss = window(xs[0])
-        backward(tape, loss)
+        backward(tape, loss, ws)
         first_alone = [w.grad for w in ws]
 
         for w in ws:
@@ -405,11 +416,11 @@ class TestBackward:
         for x in reversed(xs):
             with GradTape() as tape:
                 loss = window(x)
-            backward(tape, loss, accumulate=True)
+            backward(tape, loss, ws, accumulate=True)
         for w, want in zip(ws, one_tape):
             npt.assert_array_equal(w.grad, want)
             npt.assert_array_equal(np.signbit(w.grad), np.signbit(want))
-        backward(tape, loss)  # without accumulate, .grad is this tape's own gradient
+        backward(tape, loss, ws)  # without accumulate, .grad is this tape's own gradient
         for w, want in zip(ws, first_alone):
             npt.assert_array_equal(w.grad, want)
 
@@ -429,7 +440,7 @@ class TestBackward:
 
         with GradTape() as tape:
             loss = sum_all(op(w))
-        backward(tape, loss)
+        backward(tape, loss, [w])
         fd = finite_difference(loss_value, w.data)
         assert rel_err(w.grad, fd).max() < 1e-4
 
@@ -452,7 +463,7 @@ class TestBackward:
         with GradTape() as tape:
             picked = time_slice(r, 1)
             loss = sum_all(hadamard(picked, picked))
-        backward(tape, loss)
+        backward(tape, loss, [r])
         fd = finite_difference(loss_value, r.data)
         assert rel_err(r.grad, fd).max() < 1e-5
         npt.assert_array_equal(r.grad[:, 0], 0.0)
@@ -464,7 +475,7 @@ def _check_conv_gradients(conv, naive, x, w, b):
 
     with GradTape() as tape:
         loss = mean_all(tanh(conv(x, w, b)))
-    backward(tape, loss)
+    backward(tape, loss, [x, w, b])
     for t in (x, w, b):
         fd = finite_difference(loss_value, t.data)
         assert rel_err(t.grad, fd).max() < 1e-4
