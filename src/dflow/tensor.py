@@ -34,11 +34,14 @@ has none of its parent's threads). Each branch records to its own sub-tape and
 backward replays the sub-tapes concurrently too. A branch owns every running
 gradient sum its sub-tape touches while it replays, so each sum is added up
 in the order a sequential replay uses, and the bits do not depend on the
-number of CPUs.
+number of CPUs. Importing this module on a glibc host with several CPUs sets
+two process-wide malloc thresholds, so that the flow thread's arena keeps a
+step's freed arrays mapped instead of faulting them back in (see _start_pool).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -257,11 +260,22 @@ def _start_pool():
     """Create the branch pool: one worker per usable CPU beyond the first, or
     none. Its threads start on first use and mark themselves as workers. A
     forked child runs this again: it has none of its parent's threads, so a
-    pool whose workers had started would queue work that nothing runs."""
+    pool whose workers had started would queue work that nothing runs. With a
+    pool, glibc's mmap and trim thresholds go to 256 MiB, the mmap one first:
+    either raised alone faults more than neither. Off glibc nothing is set."""
     global _POOL
-    _POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="dflow-branch",
-                               initializer=setattr, initargs=(_TLS, "worker", True)) \
-        if _CPUS > 1 else None
+    _POOL = None
+    if _CPUS > 1:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt if os.confstr("CS_GNU_LIBC_VERSION") else None
+        except (AttributeError, OSError, ValueError):  # not glibc
+            mallopt = None
+        if mallopt:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            if mallopt(-3, 256 << 20):  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+                mallopt(-1, 256 << 20)
+        _POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="dflow-branch",
+                                   initializer=setattr, initargs=(_TLS, "worker", True))
 
 
 _start_pool()

@@ -7,17 +7,21 @@ forward_window_sequential``) bit for bit: probabilities, loss and every
 parameter gradient, also when a batch reuses each flow's parameters.
 """
 
+import json
 import os
+import platform
 import signal
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dflow import tensor
 from dflow.cli import main
 from dflow.color import ColorImage
 from dflow.losses import bce_loss, focal_loss
@@ -27,6 +31,7 @@ from dflow.tensor import GradTape, Tensor, add, backward, branches, hadamard, sc
 from oracles import forward_window_sequential, sum_all, tanh
 
 REPO = Path(__file__).resolve().parent.parent
+GLIBC = platform.libc_ver()[0] == "glibc"
 
 
 def within(seconds, fn):
@@ -258,3 +263,111 @@ def test_forked_child_runs_branches():
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+FAULT_CHILD = """
+import dataclasses, itertools, json, resource, sys
+import numpy as np
+from dflow import data, losses, network, training
+
+def faults(fn, n):
+    counts = []
+    for _ in range(n):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn()
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return counts
+
+root = sys.argv[1]
+data.synth_generate(data.SynthSceneParams(seed=3), 6, 8, root, ["train"] * 4 + ["test"] * 2)
+windows = data.load_split_windows(data.load_manifest(root), 4)
+model = network.build_dflow(network.DFlowConfig(channels=16, k=4), seed=3)
+run = training.TrainRun(model=model, config=training.TrainConfig(seed=3, steps=1))
+
+def step():
+    run.config = dataclasses.replace(run.config, steps=run.step + 1)
+    training.resume(run, {"train": windows["train"]})
+
+test_windows = itertools.cycle(windows["test"])
+
+def window():
+    seq = next(test_windows)
+    model.predict(seq.frames)
+    # scored on the label: 30 steps may leave the thresholded prediction empty
+    losses.silhouette_score(seq.label, seq.frames[-1].pixels)
+
+faults(step, 10)
+print(json.dumps({"steps": faults(step, 20), "windows": faults(window, 16)}))
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap is kept only by glibc's mallopt thresholds")
+def test_warm_steps_and_windows_do_not_page_fault(tmp_path):
+    """Once warm, a desk training step (16 maps, rgb+yuv, k=4, 32x32, batch 1)
+    and a window's predict and silhouette reuse the heap the branch pool's
+    thread freed: each takes at most 100 minor page faults. Measured in a
+    fresh child, whose heap nothing else has touched."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    result = subprocess.run([sys.executable, "-c", FAULT_CHILD, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert max(counts["steps"]) <= 100, counts
+    assert max(counts["windows"]) <= 100, counts
+
+
+class TestAllocatorThresholds:
+    """``_start_pool`` raises glibc's mmap and trim thresholds when it builds a
+    pool, through a ``ctypes.CDLL`` handle that each test replaces."""
+
+    @pytest.fixture(autouse=True)
+    def keep_pool(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_POOL", tensor._POOL)  # restored afterwards
+
+    def spy(self, monkeypatch, returns):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return returns
+
+        monkeypatch.setattr(tensor.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    @pytest.mark.parametrize("missing", ["mallopt", "libc"])
+    def test_failed_lookup_still_builds_the_pool(self, monkeypatch, missing):
+        def cdll(name):
+            if missing == "libc":
+                raise OSError("no C library")
+            return SimpleNamespace()
+
+        monkeypatch.setattr(tensor.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(tensor, "_CPUS", 2)
+        tensor._start_pool()
+        try:
+            assert tensor._POOL.submit(lambda: 7).result(timeout=30) == 7
+        finally:
+            tensor._POOL.shutdown()
+
+    def test_one_cpu_makes_no_allocator_call(self, monkeypatch):
+        calls = self.spy(monkeypatch, 1)
+        monkeypatch.setattr(tensor, "_CPUS", 1)
+        tensor._start_pool()
+        assert tensor._POOL is None
+        assert calls == []
+
+    @pytest.mark.skipif(not GLIBC, reason="thresholds are set only on glibc")
+    @pytest.mark.parametrize("returns, want", [
+        (1, [(-3, 256 << 20), (-1, 256 << 20)]),
+        (0, [(-3, 256 << 20)]),
+    ], ids=["both", "mmap_refused"])
+    def test_pool_raises_mmap_then_trim_threshold(self, monkeypatch, returns, want):
+        """A refused mmap threshold leaves the trim threshold alone: raised
+        alone, it faults more than the default."""
+        calls = self.spy(monkeypatch, returns)
+        monkeypatch.setattr(tensor, "_CPUS", 2)
+        tensor._start_pool()
+        tensor._POOL.shutdown()
+        assert calls == want
