@@ -296,7 +296,7 @@ def _cmd_infer(args):
     out_dir = _echo_config(args)
     run, windows = _load_run(args)
     for seq in windows:
-        probs = run.model.predict(seq.frames)
+        probs = training.predict_window(run.model, seq)
         frame = (seq.source_id, seq.frame_indices[-1])
         data.write_pgm16(out_dir / FRAME_FILE.format("prob", *frame), probs)
         data.write_pgm(out_dir / FRAME_FILE.format("mask", *frame), probs > 0.5)

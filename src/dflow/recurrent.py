@@ -7,9 +7,9 @@ for a same-size 2D convolution:
     h_t = (1 - f_t) o h_{t-1} + f_t o tanh(W_h * x_t + U_h * (f_t o h_{t-1}) + b_h)
 
 with * the padded cross-correlation and o the elementwise product. A step
-records the four convs, the fused gate (``mgu_forget``), the gated state
-f_t o h_{t-1} and the fused update (``mgu_update``): 7 tape records; the zero
-``initial_state`` makes the first step skip U_f, U_h and the gated state. The
+records the input convs W_f * x_t + b_f and W_h * x_t + b_h, which depend on
+x_t only, and the recurrence (``tensor.mgu_step``): 3 tape records; from the
+zero ``initial_state`` the recurrence skips U_f, U_h and the gated state. The
 block stacks two cells and adds a 3D-conv shortcut from the raw frames to the
 final step's output. Parameter-count formulas for the two-layer ConvLSTM, the
 block and the plain stack are implemented exactly as printed (they charge
@@ -24,17 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_fields
-from .tensor import (
-    Tensor,
-    Zero,
-    add,
-    conv2d_same,
-    conv3d_same,
-    hadamard,
-    mgu_forget,
-    mgu_update,
-    time_slice,
-)
+from .tensor import Tensor, Zero, add, conv2d_same, conv3d_same, mgu_step, time_slice
 
 __all__ = [
     "UnitHyperparams",
@@ -120,13 +110,10 @@ class ConvMguCell:
         return Zero((self.hidden_channels, height, width))
 
     def step_with_gate(self, x, h_prev):
-        """One recurrence step; returns (h_t, f_t). The convs and ``mgu_forget``
-        reject mismatched input shapes with a ValueError."""
-        f = mgu_forget(conv2d_same(x, self.w_f, self.b_f), conv2d_same(h_prev, self.u_f))
-        gated_prev = hadamard(f, h_prev)
-        h = mgu_update(f, conv2d_same(x, self.w_h, self.b_h),
-                       conv2d_same(gated_prev, self.u_h), h_prev)
-        return h, f
+        """One recurrence step; returns (h_t, f_t), f_t untracked. The convs and
+        ``mgu_step`` reject mismatched input shapes with a ValueError."""
+        return mgu_step(conv2d_same(x, self.w_f, self.b_f), conv2d_same(x, self.w_h, self.b_h),
+                        h_prev, self.u_f, self.u_h)
 
     def step(self, x, h_prev):
         return self.step_with_gate(x, h_prev)[0]

@@ -8,11 +8,11 @@ meaningful; float32 is accepted for inference-only use.
 conv2d_same and conv3d_same share one im2col + matmul kernel over 2 or 3
 spatial axes; im2col copies a strided view of the zero-padded input once.
 
-mgu_forget and mgu_update are the ConvMGU cell's point-wise ops, each one
-tape record with a hand-written vjp that returns the same terms, in the same
-order, as the primitive chain it replaces, so results keep their bits.
-:class:`Zero` is a read-only all-zero constant: an unbiased conv of one and
-a product with one return a new Zero at once, with no work and no tape record.
+mgu_step is the ConvMGU recurrence as one tape record; its vjp returns the
+primitive chain's terms in the chain's order, so results keep their bits.
+:class:`Zero` is a read-only all-zero constant: an unbiased conv of one
+returns a new Zero at once, with no work and no tape record, and mgu_step
+from one skips its recurrent convs and the gated state.
 
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
@@ -23,9 +23,9 @@ tape order, so replaying the same tape is bit-reproducible.
 Every op returns ``_record(y, inputs, vjp)``, a tensor of the array y that
 gets a fresh data-free :class:`_Node` and a tape record if a tape is active
 and an input is tracked; a parameter is its own node. Each vjp closes over
-only the arrays it reads (an activation's output, a product's other factor,
-a conv's unpadded input and kernel), so an intermediate that no vjp reads is
-freed as soon as the forward drops it.
+only the arrays it reads (an activation's output, a conv's unpadded input
+and kernel), so an intermediate that no vjp reads is freed as soon as the
+forward drops it.
 
 branches runs independent functions (the model's colour flows) at the same
 time: the first on the calling thread, the rest on a pool with one worker
@@ -57,13 +57,11 @@ __all__ = [
     "branches",
     "sigmoid",
     "add",
-    "hadamard",
     "scale",
     "time_slice",
-    "mgu_forget",
-    "mgu_update",
     "conv2d_same",
     "conv3d_same",
+    "mgu_step",
 ]
 
 _MAX_RANK = 5
@@ -374,19 +372,6 @@ def add(a, b):
     return _record(a.data + b.data, (a, b), vjp)
 
 
-def hadamard(a, b):
-    """Elementwise product; shapes must match exactly."""
-    _require_same_shape(a, b, "hadamard")
-    ad, bd = a.data, b.data
-    if isinstance(a, Zero) or isinstance(b, Zero):
-        return Zero(ad.shape, np.result_type(ad, bd))
-
-    def vjp(g):
-        return (g * bd, g * ad)
-
-    return _record(ad * bd, (a, b), vjp)
-
-
 def scale(a, c):
     """Multiply by a Python scalar constant."""
     c = float(c)
@@ -412,38 +397,6 @@ def time_slice(a, t):
         return (full,)
 
     return _record(ad[:, t].copy(), (a,), vjp)
-
-
-# --- fused ConvMGU cell (bit-identical to the primitive chains) --------------
-
-
-def mgu_forget(a, b):
-    """Forget gate sigmoid(a + b) of the two gate pre-activations."""
-    _require_same_shape(a, b, "mgu_forget")
-    y = _sigmoid_values(a.data + b.data)
-
-    def vjp(g):
-        gz = _times(_d_sigmoid(y), g)
-        return (gz, gz)
-
-    return _record(y, (a, b), vjp)
-
-
-def mgu_update(f, c1, c2, h_prev):
-    """New state (1 - f) o h_prev + f o tanh(c1 + c2)."""
-    for t in (c1, c2, h_prev):
-        _require_same_shape(f, t, "mgu_update")
-    fd, hd = f.data, h_prev.data
-    cand = np.asarray(c1.data + c2.data)
-    np.tanh(cand, out=cand)
-
-    def vjp(g):
-        gc = _times(1.0 - cand * cand, g * fd)  # times the tanh derivative
-        return (g * cand - g * hd, gc, gc, _times(1.0 - fd, g))  # a - b is a + -b, bit for bit
-
-    y = _times(1.0 - fd, hd)
-    y += fd * cand
-    return _record(y, (f, c1, c2, h_prev), vjp)
 
 
 # --- convolution ------------------------------------------------------------
@@ -505,6 +458,17 @@ def _flip_kernel(kd):
     return np.flip(kd, axis=tuple(range(2, kd.ndim))).swapaxes(0, 1)
 
 
+def _conv_grads(xd, kd, g, need_x):
+    """Input (None unless ``need_x``) and kernel gradients of a conv under ``g``."""
+    cout, m = kd.shape[0], kd.shape[-1]
+    # g2d @ cols.T, faster with the large cols untransposed (the same bits
+    # on OpenBLAS's SkylakeX kernel, not on every kernel); the small
+    # transposed product is copied to C order for the optimiser
+    gk = np.ascontiguousarray((_im2col(_pad(xd, m), m) @ g.reshape(cout, -1).T).T)
+    gx = _conv_forward(g, _flip_kernel(kd)) if need_x else None
+    return gx, gk.reshape(kd.shape)
+
+
 def _conv_same(x, kernel, bias, nd):
     xd, kd = x.data, kernel.data
     _check_conv(xd, kd, bias, nd)
@@ -513,17 +477,11 @@ def _conv_same(x, kernel, bias, nd):
     y = _conv_forward(xd, kd)
     if bias is not None:
         y += bias.data.reshape(-1, *(1,) * nd)
-    cout, m = kd.shape[0], kd.shape[-1]
     need_x = x._node is not None  # the frames take no gradient: skip a whole conv
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def vjp(g):
-        # g2d @ cols.T, faster with the large cols untransposed (the same bits
-        # on OpenBLAS's SkylakeX kernel, not on every kernel); the small
-        # transposed product is copied to C order for the optimiser
-        gk = np.ascontiguousarray((_im2col(_pad(xd, m), m) @ g.reshape(cout, -1).T).T)
-        gk = gk.reshape(kd.shape)
-        gx = _conv_forward(g, _flip_kernel(kd)) if need_x else None
+        gx, gk = _conv_grads(xd, kd, g, need_x)
         return (gx, gk) if bias is None else (gx, gk, g.sum(axis=tuple(range(1, nd + 1))))
 
     return _record(y, inputs, vjp)
@@ -544,3 +502,42 @@ def conv3d_same(x, kernel, bias=None):
     ``x`` is (cin, T, H, W), ``kernel`` (cout, cin, f, f, f) with f odd.
     Output is (cout, T, H, W)."""
     return _conv_same(x, kernel, bias, 3)
+
+
+# --- the ConvMGU recurrence ---------------------------------------------------
+
+
+def mgu_step(zf, zh, h_prev, u_f, u_h):
+    """One ConvMGU step from the input terms zf = W_f * x + b_f, zh = W_h * x + b_h.
+    Returns h = (1 - f) o h_prev + f o tanh(zh + U_h * (f o h_prev)), one tape record,
+    and the untracked gate f = sigmoid(zf + U_f * h_prev). A Zero h_prev skips both
+    recurrent convs (run untracked through conv2d_same) and the gated state."""
+    zero = isinstance(h_prev, Zero)
+    hd, kf, kh = h_prev.data, u_f.data, u_h.data
+    rf = conv2d_same(h_prev if zero else Tensor(hd), Tensor(kf))
+    for t in (zh, h_prev, rf):
+        _require_same_shape(zf, t, "mgu_step")
+    f = _sigmoid_values(zf.data + rf.data)
+    gated = None if zero else f * hd
+    rh = conv2d_same(h_prev if zero else Tensor(gated), Tensor(kh))
+    _require_same_shape(zh, rh, "mgu_step")
+    cand = np.asarray(zh.data + rh.data)
+    np.tanh(cand, out=cand)
+    need_h = h_prev._node is not None
+
+    def vjp(g):
+        # one term per listed input, in the chain's replay order (the update, U_h's
+        # conv, the gated state, the gate, U_f's conv), so h_prev's sum keeps its bits
+        gf = g * cand - g * hd  # a - b is a + -b, bit for bit
+        gc = _times(1.0 - cand * cand, g * f)  # times the tanh derivative
+        if zero:
+            return (gc, None, None, None, _times(_d_sigmoid(f), gf), None, None)
+        g_gated, gk_h = _conv_grads(gated, kh, gc, True)
+        gf += g_gated * hd
+        gz = _times(_d_sigmoid(f), gf)
+        gh, gk_f = _conv_grads(hd, kf, gz, need_h)
+        return (gc, _times(1.0 - f, g), gk_h, g_gated * f, gz, gh, gk_f)
+
+    y = _times(1.0 - f, hd)
+    y += f * cand
+    return _record(y, (zh, h_prev, u_h, h_prev, zf, h_prev, u_f), vjp), Tensor(f)

@@ -3,7 +3,7 @@
 Training is deterministic end to end: the window order for epoch ``e`` is a
 fresh permutation seeded by (seed, e), so resuming from a checkpoint replays
 exactly the schedule an uninterrupted run would have used. Divergence (a
-non-finite loss) aborts immediately with a diagnostic rather than training on.
+non-finite loss or prediction) aborts with a diagnostic rather than going on.
 
 Checkpoint format: magic ``DFLW``, little-endian u32 version, u64 header
 length, a JSON header (configs, step counter, curve records, tensor
@@ -41,6 +41,7 @@ __all__ = [
     "train",
     "resume",
     "evaluate",
+    "predict_window",
     "gradcheck",
     "save_checkpoint",
     "load_checkpoint",
@@ -156,7 +157,8 @@ def resume(run, data):
     next window's forward, so it holds one window's tape whatever the batch
     size. Its results are bit-identical to replaying one tape over the whole
     batch. A non-finite loss raises DivergenceError before any parameter or
-    Adam moment changes, and no backward pass runs through its window."""
+    Adam moment changes, and no backward pass runs through its window (a
+    validation loss: after the update, before the step counts)."""
     config = run.config
     windows = data.get("train", [])
     if not windows:
@@ -209,6 +211,10 @@ def resume(run, data):
         val_loss = val_dice = None
         if val_windows and (step % config.eval_interval == 0 or step == config.steps):
             val_loss, val_dice = _val_metrics(run.model, val_windows, loss_fn)
+            if not np.isfinite(val_loss):
+                raise DivergenceError(
+                    f"non-finite validation loss {val_loss!r} at step {step} "
+                    f"(seed {config.seed}, lr {config.lr})")
         run.curve.append(CurveRecord(step, loss_value, val_loss, val_dice))
         run.step = step
     return run
@@ -221,6 +227,15 @@ def train(model, data, config):
     return resume(TrainRun(model=model, config=config), data)
 
 
+def predict_window(model, seq):
+    """``model.predict`` on a window; a non-finite one is a DivergenceError naming it."""
+    probs = model.predict(seq.frames)
+    if not np.isfinite(probs).all():
+        raise DivergenceError(f"non-finite probabilities for source {seq.source_id!r} "
+                              f"frame {seq.frame_indices[-1] if seq.frame_indices else -1}")
+    return probs
+
+
 def evaluate(model, data, split):
     """Mean Dice and silhouette over every window of a split (side-effect
     free; the silhouette uses each window's final RGB frame as features)."""
@@ -229,8 +244,7 @@ def evaluate(model, data, split):
         raise ValueError(f"split {split!r} is empty")
     rows = []
     for seq in windows:
-        p = model.predict(seq.frames)
-        binary = (p > 0.5).astype(np.float64)
+        binary = (predict_window(model, seq) > 0.5).astype(np.float64)
         d = dice_coefficient(binary, seq.label)
         s = silhouette_score(binary, seq.frames[-1].pixels, seed=0)
         rows.append((seq.source_id, seq.frame_indices[-1] if seq.frame_indices else -1, d, s))

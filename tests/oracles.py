@@ -7,7 +7,7 @@ formulas) and must stay independent of the implementations it checks.
 import numpy as np
 
 from dflow.network import frames_for_flow
-from dflow.tensor import (GradTape, Tensor, _record, add, backward, conv2d_same, hadamard,
+from dflow.tensor import (GradTape, Tensor, Zero, _record, add, backward, conv2d_same,
                           scale, sigmoid)
 from dflow.training import CurveRecord, DivergenceError, _loss_fn, _val_metrics, _window_at
 
@@ -194,6 +194,18 @@ def tanh(a):
     return _record(y, (a,), vjp)
 
 
+def hadamard(a, b):
+    """Elementwise product; shapes must match exactly."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"hadamard: shape mismatch {a.data.shape} vs {b.data.shape}")
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        return (g * bd, g * ad)
+
+    return _record(ad * bd, (a, b), vjp)
+
+
 def sub_from_one(a):
     """1 - x elementwise (the gate complement in a convex combination)."""
 
@@ -266,19 +278,19 @@ def mean_all(a):
 # step, 9 per BCE and 12 per focal loss. The fused records must reproduce
 # their values and gradients bit for bit.
 
-
-def mgu_forget_chain(zf_x, zf_h):
-    return sigmoid(add(zf_x, zf_h))
-
-
-def mgu_update_chain(f, zh_x, zh_h, h_prev):
-    return add(hadamard(sub_from_one(f), h_prev), hadamard(f, tanh(add(zh_x, zh_h))))
+# The records the library writes instead: per cell step (its two input convs
+# and mgu_step), and per training window (forward plus loss) at k = 4 with
+# two flows, for each model kind
+CELL_STEP_RECORDS = 3
+DESK_WINDOW_RECORDS = 64
+BLOCK_WINDOW_RECORDS = 70
 
 
 def mgu_step_chain(cell, x, h_prev):
-    """``ConvMguCell.step_with_gate`` as a chain of primitives; returns (h_t, f_t)."""
+    """``ConvMguCell.step_with_gate`` as a chain of primitives; returns (h_t, f_t).
+    A Zero state skips U_f, U_h and the gated state, as the library does."""
     f = sigmoid(add(conv2d_same(x, cell.w_f, cell.b_f), conv2d_same(h_prev, cell.u_f)))
-    gated_prev = hadamard(f, h_prev)
+    gated_prev = h_prev if isinstance(h_prev, Zero) else hadamard(f, h_prev)
     candidate = tanh(
         add(conv2d_same(x, cell.w_h, cell.b_h), conv2d_same(gated_prev, cell.u_h)))
     h = add(hadamard(sub_from_one(f), h_prev), hadamard(f, candidate))

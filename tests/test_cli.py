@@ -249,6 +249,16 @@ class TestTrain:
                                            "label samples must be 0 or maxval\n")
         assert not (out / "checkpoint.dflw").exists() and not (out / "curve.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_diverged_validation_is_a_runtime_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--channels", "2", "--steps", "1", "--lr", "1e308"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "runtime error: non-finite validation loss nan at step 1 (seed 0, lr 1e+308)")
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
                    "--out", str(tmp_path / "out")])
@@ -316,6 +326,25 @@ class TestInferEval:
         assert rc == 2
         assert capsys.readouterr().err == "runtime error: split 'test' is empty\n"
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["resolved_config.json"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_non_finite_probabilities_are_a_runtime_error_that_writes_nothing(
+            self, tmp_path, capsys, command):
+        # no val split, so one step at a huge rate trains without a check and
+        # leaves a model whose sums overflow to inf - inf
+        data_dir, run_dir, out = tmp_path / "ds", tmp_path / "run", tmp_path / "out"
+        assert main(["synth", "--out", str(data_dir), "--train", "2", "--val", "0",
+                     "--frames", "5", "--width", "8", "--height", "8"]) == 0
+        assert main(["train", "--dataset", str(data_dir), "--out", str(run_dir),
+                     "--channels", "2", "--steps", "1", "--lr", "1e308"]) == 0
+        capsys.readouterr()
+        rc = main([command, "--checkpoint", str(run_dir / "checkpoint.dflw"),
+                   "--dataset", str(data_dir), "--out", str(out), "--split", "train"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "runtime error: non-finite probabilities for source 'seq_000' frame 4")
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
     def test_eval_reads_only_the_frames_of_its_split(self, dataset_dir, trained_dir,
                                                      tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 """Fused tape records against the primitive chains they replace.
 
-The fused ConvMGU ops and the one-record losses must give the chain's
-values and gradients bit for bit (``np.array_equal``), including where the
-gates saturate and where the loss clamp is active.
+The ConvMGU recurrence (``mgu_step``) and the one-record losses must give the
+chain's values and gradients bit for bit (``np.array_equal``), including where
+the gates saturate and where the loss clamp is active.
 """
 
 import numpy as np
@@ -14,23 +14,15 @@ from hypothesis.extra.numpy import arrays
 
 from dflow.losses import CLAMP_EPS, bce_loss, focal_loss
 from dflow.recurrent import ConvMguCell
-from dflow.tensor import (
-    GradTape,
-    Tensor,
-    backward,
-    hadamard,
-    mgu_forget,
-    mgu_update,
-    scale,
-)
+from dflow.tensor import GradTape, Tensor, Zero, backward, mgu_step, scale
 
 from oracles import (
+    CELL_STEP_RECORDS,
     bce_loss_chain,
     finite_difference,
     focal_loss_chain,
-    mgu_forget_chain,
+    hadamard,
     mgu_step_chain,
-    mgu_update_chain,
     rel_err,
     sum_all,
 )
@@ -38,9 +30,6 @@ from oracles import (
 SETTINGS = settings(max_examples=40, deadline=None)
 
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5))
-# pre-activations up to the saturated tails, with +-30 drawn often
-gate_values = st.one_of(st.sampled_from([-30.0, 30.0, 0.0]),
-                        st.floats(-30.0, 30.0, allow_nan=False))
 # probabilities at and next to both clamp bounds, and in between
 prob_values = st.one_of(st.sampled_from([0.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0]),
                         st.floats(0.0, 1.0))
@@ -60,40 +49,47 @@ def _run(fn, inputs, upstream):
     return out.data, [t.grad for t in inputs]
 
 
-def _assert_same(fused, chained):
-    (y_fused, g_fused), (y_chain, g_chain) = fused, chained
-    assert np.array_equal(y_fused, y_chain)
-    assert len(g_fused) == len(g_chain)
-    for a, b in zip(g_fused, g_chain):
-        assert np.array_equal(a, b)
+def _step_case(step, side, gain, zero_state):
+    """h, f and the gradient of every leaf (the frame, a tracked state and
+    the cell's parameters) under sum(upstream o h) for one cell step."""
+    rng = np.random.default_rng(7)
+    cin, n = 3, 2
+    cell = ConvMguCell(cin, n, 3, np.random.default_rng(8))
+    x = Tensor(gain * rng.uniform(-1.0, 1.0, size=(cin, side, side)), requires_grad=True)
+    # drawn for a Zero state too, so both cases get the same upstream
+    h_prev = Tensor(rng.uniform(-1.0, 1.0, size=(n, side, side)), requires_grad=True)
+    upstream = rng.uniform(-2.0, 2.0, size=(n, side, side))
+    leaves = [x, *cell.parameters().values()]
+    if zero_state:
+        h_prev = Zero(h_prev.shape)
+    else:
+        leaves.append(h_prev)
+    with GradTape() as tape:
+        h, f = step(cell, x, h_prev)
+        loss = sum_all(hadamard(h, Tensor(upstream)))
+    backward(tape, loss, leaves)
+    return h.data, f.data, [t.grad for t in leaves]
+
+
+# a Zero and a tracked state, at 6x6 and 32x32, at input gain 1 and 30
+STEP_CASES = pytest.mark.parametrize("zero_state, side, gain", [
+    pytest.param(zero_state, side, gain,
+                 id=f"{'zero_state' if zero_state else 'state'}-{side}-gain{gain:g}")
+    for zero_state in (True, False) for side in (6, 32) for gain in (1.0, 30.0)])
 
 
 class TestMguOps:
-    @SETTINGS
-    @given(st.data())
-    def test_forget_matches_the_chain_bit_for_bit(self, data):
-        shape = data.draw(shapes)
-        a, b = (data.draw(arrays(np.float64, shape, elements=gate_values)) for _ in range(2))
-        upstream = data.draw(arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
-        _assert_same(_run(mgu_forget, _leaves([a, b]), upstream),
-                     _run(mgu_forget_chain, _leaves([a, b]), upstream))
-
-    @SETTINGS
-    @given(st.data())
-    def test_update_matches_the_chain_bit_for_bit(self, data):
-        shape = data.draw(shapes)
-        gate, c1, c2 = (data.draw(arrays(np.float64, shape, elements=gate_values))
-                        for _ in range(3))
-        f = 1.0 / (1.0 + np.exp(-gate))  # reaches 0 and 1 to the last bit at +-30
-        h_prev = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
-        upstream = data.draw(arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
-        track_h = data.draw(st.booleans())
-
-        def inputs():
-            return _leaves([f, c1, c2]) + [Tensor(h_prev.copy(), requires_grad=track_h)]
-
-        _assert_same(_run(mgu_update, inputs(), upstream),
-                     _run(mgu_update_chain, inputs(), upstream))
+    @STEP_CASES
+    def test_step_matches_the_chain_bit_for_bit(self, zero_state, side, gain):
+        fused = _step_case(ConvMguCell.step_with_gate, side, gain, zero_state)
+        chained = _step_case(mgu_step_chain, side, gain, zero_state)
+        assert np.array_equal(fused[0], chained[0]) and np.array_equal(fused[1], chained[1])
+        assert len(fused[2]) == len(chained[2])
+        for a, b in zip(fused[2], chained[2]):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        if gain == 30.0:  # the gates reach both saturated tails
+            assert fused[1].min() < 1e-6 and fused[1].max() > 1.0 - 1e-6
 
     @SETTINGS
     @given(st.data())
@@ -127,21 +123,30 @@ class TestMguOps:
             assert np.array_equal(a, b)
         for a, b in zip(fused[1], chained[1]):
             assert np.array_equal(a, b)
-        assert (fused[2], chained[2]) == (2 * 7 + 2, 2 * 13 + 2)
+        assert (fused[2], chained[2]) == (2 * CELL_STEP_RECORDS + 2, 2 * 13 + 2)
 
-    @pytest.mark.parametrize("op, n_inputs", [(mgu_forget, 2), (mgu_update, 4)])
-    def test_gradients_match_finite_differences(self, op, n_inputs):
+    @STEP_CASES
+    def test_gradients_match_finite_differences(self, zero_state, side, gain):
         rng = np.random.default_rng(31)
-        values = [rng.uniform(-2.0, 2.0, size=(2, 3, 3)) for _ in range(n_inputs)]
-        if op is mgu_update:
-            values[0] = rng.uniform(0.05, 0.95, size=(2, 3, 3))  # a gate value f
-        values[1][0, 0, :2] = (30.0, -30.0)  # saturates sigmoid(a + b) and tanh(c1 + c2)
-        upstream = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
-        inputs = _leaves(values)
-        _, grads = _run(op, inputs, upstream)
+        n = 2
+        shape = (n, side, side)
+        values = [gain * rng.uniform(-1.0, 1.0, size=shape) for _ in range(2)]  # zf, zh
+        if not zero_state:
+            values.append(rng.uniform(-1.0, 1.0, size=shape))
+        values += [rng.uniform(-0.5, 0.5, size=(n, n, 3, 3)) for _ in range(2)]  # u_f, u_h
+        upstream = rng.uniform(-1.0, 1.0, size=shape)
 
-        def loss_value():
-            return float((op(*[Tensor(v) for v in values]).data * upstream).sum())
+        def step(zf, zh, *rest):
+            h_prev, u_f, u_h = (Zero(shape), *rest) if zero_state else rest
+            return mgu_step(zf, zh, h_prev, u_f, u_h)[0]
+
+        inputs = _leaves(values)
+        _, grads = _run(step, inputs, upstream)
+
+        h0 = step(*[Tensor(v) for v in values]).data
+
+        def loss_value():  # less h0, so the sum's rounding does not swamp a 32x32 difference
+            return float(((step(*[Tensor(v) for v in values]).data - h0) * upstream).sum())
 
         for value, grad in zip(values, grads):
             fd = finite_difference(loss_value, value)
@@ -149,10 +154,11 @@ class TestMguOps:
 
     def test_shape_mismatch_is_rejected(self):
         a, b = Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 2, 3)))
-        with pytest.raises(ValueError, match="mgu_forget: shape mismatch"):
-            mgu_forget(a, b)
-        with pytest.raises(ValueError, match="mgu_update: shape mismatch"):
-            mgu_update(a, a, a, b)
+        k, wide = Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((2, 1, 3, 3)))
+        for args in [(a, b, a, k, k), (a, a, b, k, k), (a, a, Zero((1, 2, 3)), k, k),
+                     (a, a, a, wide, k), (a, a, a, k, wide)]:
+            with pytest.raises(ValueError, match="mgu_step: shape mismatch"):
+                mgu_step(*args)
 
 
 def _loss_case(fn, p, y):

@@ -17,7 +17,8 @@ from dflow.network import (
 from dflow.recurrent import ConvMguStack2, count_actual_params
 from dflow.tensor import GradTape, Tensor, Zero, _leaves, _Node, backward, branches
 
-from oracles import cell_weight_arrays, finite_difference, mean_all, rel_err, stack2_naive
+from oracles import (BLOCK_WINDOW_RECORDS, DESK_WINDOW_RECORDS, cell_weight_arrays,
+                     finite_difference, mean_all, rel_err, stack2_naive)
 
 
 def rand_frames(rng, n, side=8):
@@ -210,16 +211,16 @@ class TestEndToEndGradient:
 
 class TestTapeRecords:
     """Records one training window puts on the tape (forward plus loss), at
-    k = 4 with two flows: 16 cell steps of 7 records (4 convs, the fused
-    gate, the gated state, the fused update) and 4 first steps of 4 (their
-    zero state skips U_f, U_h and the gated state), the flow sum, the
-    decoder's conv and sigmoid, and one loss record: 112 + 16 + 4 = 132.
-    Each block adds its 3D conv, time slice and residual add: 138. The
-    counts do not depend on the frame size or the channel count."""
+    k = 4 with two flows: 20 cell steps of 3 records (the two input convs and
+    mgu_step, whose zero first state skips U_f, U_h and the gated state
+    inside the record), the flow sum, the decoder's conv and sigmoid, and one
+    loss record: 60 + 4 = 64. Each block adds its 3D conv, time slice and
+    residual add: 70. The counts do not depend on the frame size or the
+    channel count."""
 
     @pytest.mark.parametrize("use_block, loss, records", [
-        (False, bce_loss, 132),
-        (True, focal_loss, 138),
+        (False, bce_loss, DESK_WINDOW_RECORDS),
+        (True, focal_loss, BLOCK_WINDOW_RECORDS),
     ], ids=["desk_bce", "base_block_focal"])
     def test_records_per_window_are_pinned(self, use_block, loss, records):
         rng = np.random.default_rng(0)
@@ -251,8 +252,8 @@ class TestTapeMemory:
         return model, rand_frames(rng, 5, side=32), label
 
     @pytest.mark.parametrize("use_block, loss, count", [
-        (False, bce_loss, 132),
-        (True, focal_loss, 138),
+        (False, bce_loss, DESK_WINDOW_RECORDS),
+        (True, focal_loss, BLOCK_WINDOW_RECORDS),
     ], ids=["desk_bce", "block_focal"])
     def test_records_refer_to_no_tensor_but_parameters(self, use_block, loss, count):
         model, frames, label = self.window(np.random.default_rng(0), use_block)
@@ -272,7 +273,7 @@ class TestTapeMemory:
         def record():
             with GradTape() as tape:
                 loss = bce_loss(model.forward_window(frames), label)
-            assert len(tape) == 132 and loss.data.shape == ()
+            assert len(tape) == DESK_WINDOW_RECORDS and loss.data.shape == ()
             return tape, loss
 
         held, _ = traced_memory(record)

@@ -19,7 +19,7 @@ from dflow.tensor import (
     branches,
     conv2d_same,
     conv3d_same,
-    hadamard,
+    mgu_step,
     scale,
     sigmoid,
     time_slice,
@@ -32,6 +32,7 @@ from oracles import (
     conv2d_naive,
     conv3d_naive,
     finite_difference,
+    hadamard,
     log,
     mean_all,
     power,
@@ -248,22 +249,38 @@ class TestConvKernel:
 
 
 class TestZeroConstant:
-    """An unbiased conv of a Zero and a product with one return a Zero at
-    once; anything else still computes and records."""
+    """An unbiased conv of a Zero returns a Zero at once, and mgu_step from a
+    Zero state skips its recurrent convs and the gated state; anything else
+    still computes and records."""
 
     def test_zero_operand_returns_a_zero_and_records_nothing(self):
         rng = np.random.default_rng(0)
         k = Tensor(rand(rng, 3, 2, 3, 3).data, requires_grad=True)
-        f = Tensor(rand(rng, 2, 4, 5).data, requires_grad=True)
-        plain = Tensor(np.zeros((2, 4, 5)))
         with GradTape() as tape:
-            outs = [conv2d_same(Zero((2, 4, 5)), k), hadamard(f, Zero((2, 4, 5))),
-                    hadamard(Zero((2, 4, 5)), f)]
+            out = conv2d_same(Zero((2, 4, 5)), k)
         assert len(tape) == 0
-        for out, want in zip(outs, [conv2d_same(plain, k), hadamard(f, plain), hadamard(plain, f)]):
-            assert isinstance(out, Zero) and not out.data.flags.writeable
-            npt.assert_array_equal(out.data, want.data)
-            assert out.data.shape == want.data.shape and out.data.dtype == want.data.dtype
+        want = conv2d_same(Tensor(np.zeros((2, 4, 5))), k)
+        assert isinstance(out, Zero) and not out.data.flags.writeable
+        npt.assert_array_equal(out.data, want.data)
+        assert out.data.shape == want.data.shape and out.data.dtype == want.data.dtype
+
+    def test_mgu_step_from_a_zero_state_runs_no_recurrent_conv(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        zf, zh = (Tensor(rand(rng, 2, 4, 5).data, requires_grad=True) for _ in range(2))
+        u_f, u_h = (Tensor(rand(rng, 2, 2, 3, 3).data, requires_grad=True) for _ in range(2))
+        plain = mgu_step(zf, zh, Tensor(np.zeros((2, 4, 5))), u_f, u_h)
+        calls = []
+        im2col = tensor._im2col
+        monkeypatch.setattr(tensor, "_im2col", lambda xp, m: calls.append(1) or im2col(xp, m))
+        with GradTape() as tape:
+            h, f = mgu_step(zf, zh, Zero((2, 4, 5)), u_f, u_h)
+            loss = sum_all(h)
+        backward(tape, loss, [zf, zh, u_f, u_h])
+        assert len(tape) == 2 and calls == []  # mgu_step's record and the sum's
+        for got, want in zip((h, f), plain):
+            npt.assert_array_equal(got.data, want.data)
+        npt.assert_array_equal(u_f.grad, 0.0)
+        npt.assert_array_equal(u_h.grad, 0.0)
 
     def test_biased_conv_of_a_zero_still_runs(self):
         rng = np.random.default_rng(1)

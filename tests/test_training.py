@@ -16,7 +16,7 @@ from dflow.color import ColorImage
 from dflow.data import FrameSequence, SynthSceneParams, load_manifest, \
     load_split_windows, synth_generate
 from dflow.network import DFlowConfig, build_dflow
-from dflow.tensor import Tensor, hadamard, sigmoid
+from dflow.tensor import Tensor, sigmoid
 from dflow.training import (
     CheckpointError,
     DivergenceError,
@@ -33,7 +33,7 @@ from dflow.training import (
 
 from fixtures import v1_checkpoint
 from fuzz import damaged, fuzz_settings
-from oracles import mean_all, resume_one_tape
+from oracles import hadamard, mean_all, resume_one_tape
 
 V1_BLOB = v1_checkpoint.CHECKPOINT.read_bytes()
 V1_HEADER_END = 16 + struct.unpack_from("<Q", V1_BLOB, 8)[0]
@@ -124,6 +124,13 @@ class TestTrainLoop:
         model.decoder_b.data[...] = np.nan
         with pytest.raises(DivergenceError, match="step 1"):
             train(model, tiny_dataset, tiny_config())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_non_finite_validation_loss_is_a_divergence(self, tiny_dataset):
+        # the first step's training loss is finite; its update overflows the model
+        with pytest.raises(DivergenceError) as info:
+            train(tiny_model(), tiny_dataset, tiny_config(steps=1, lr=1e308))
+        assert str(info.value) == "non-finite validation loss nan at step 1 (seed 0, lr 1e+308)"
 
     def test_loss_decreases_on_tiny_problem(self, tiny_dataset):
         run = train(tiny_model(seed=2), tiny_dataset, tiny_config(steps=60))
@@ -376,6 +383,15 @@ class TestEvaluate:
     def test_empty_split_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
             evaluate(tiny_model(), {"test": []}, "test")
+
+    def test_non_finite_probabilities_are_a_divergence_naming_the_window(self, tiny_dataset):
+        model = tiny_model()
+        model.decoder_b.data[...] = np.nan
+        seq = tiny_dataset["val"][0]
+        with pytest.raises(DivergenceError) as info:
+            evaluate(model, tiny_dataset, "val")
+        assert str(info.value) == (f"non-finite probabilities for source {seq.source_id!r} "
+                                   f"frame {seq.frame_indices[-1]}")
 
 
 class TestCheckpoints:
