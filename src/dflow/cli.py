@@ -283,8 +283,9 @@ def _cmd_train(args):
                           colors="+".join(filter(None, (mc.flow_a_space, mc.flow_b_space))),
                           loss=run.config.loss, lr=run.config.lr, seed=run.config.seed)
     out_dir = _echo_config(args)
-    manifest = data.load_manifest(args.dataset)
-    run = training.resume(run, data.load_split_windows(manifest, run.model.config.k))
+    windows = data.load_split_windows(data.load_manifest(args.dataset), run.model.config.k)
+    run = training.resume(run, windows)
+    training.predict_window(run.model, windows["train"][0])  # a diverged model saves nothing
     training.save_checkpoint(run, out_dir / "checkpoint.dflw")
     training.write_curve_csv(run.curve, out_dir / "curve.csv")
     print(f"trained {run.step} steps; model has {recurrent.count_actual_params(run.model)} "

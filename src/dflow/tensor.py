@@ -16,7 +16,8 @@ from one skips its recurrent convs and the gated state.
 
 Ops are pure functions: they never mutate their inputs and only append to
 the innermost active :class:`GradTape` (one per training context, tracked
-per thread). backward replays a tape into the parameters its caller names.
+per thread). backward replays a tape into the parameters its caller names,
+from the weight its caller gives the loss, so weighting a loss takes no record.
 Gradients accumulate additively when a tensor feeds several consumers, in
 tape order, so replaying the same tape is bit-reproducible.
 
@@ -57,7 +58,6 @@ __all__ = [
     "branches",
     "sigmoid",
     "add",
-    "scale",
     "time_slice",
     "conv2d_same",
     "conv3d_same",
@@ -193,15 +193,16 @@ def _record(y, inputs, vjp):
     return out
 
 
-def backward(tape, loss, params, accumulate=False):
-    """Set ``.grad`` on each tensor in ``params`` to its gradient of ``loss``.
+def backward(tape, loss, params, accumulate=False, weight=1.0):
+    """Set ``.grad`` on each tensor in ``params`` to its gradient of ``weight * loss``.
 
-    ``loss`` must be a rank-0 tensor produced under the tape. A named tensor
-    the loss does not depend on gets an all-zero gradient; tensors not named
-    keep their ``.grad``. With ``accumulate`` a named tensor's sum starts from
-    its ``.grad``, if it has one, instead of replacing it: replaying the tapes
-    of several losses one after the other, last recorded first, adds every
-    term in the order one replay of a tape holding them all uses.
+    ``loss`` must be a rank-0 tensor produced under the tape. The replay starts
+    from ``weight``, the bits a record scaling the loss by it would pass down. A
+    named tensor the loss does not depend on gets an all-zero gradient; tensors
+    not named keep their ``.grad``. With ``accumulate`` a named tensor's sum
+    starts from its ``.grad``, if it has one, instead of replacing it: replaying
+    the tapes of several losses one after the other, last recorded first, adds
+    every term in the order one replay of a tape holding them all uses.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
@@ -211,7 +212,7 @@ def backward(tape, loss, params, accumulate=False):
     if not any(out is node for out, _, _ in _leaves(tape._records)):
         raise ValueError("loss was not produced under this tape")
     params = list(params)
-    grads = {id(node): np.ones((), dtype=loss.data.dtype)}
+    grads = {id(node): np.full((), weight, loss.data.dtype)}
     if accumulate:
         grads.update((id(p), p.grad) for p in params if p.grad is not None)
     _replay(tape._records, grads)
@@ -370,16 +371,6 @@ def add(a, b):
         return (g, g)
 
     return _record(a.data + b.data, (a, b), vjp)
-
-
-def scale(a, c):
-    """Multiply by a Python scalar constant."""
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return _record(a.data * c, (a,), vjp)
 
 
 def time_slice(a, t):

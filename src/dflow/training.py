@@ -28,7 +28,7 @@ import numpy as np
 from ._fields import check_fields
 from .losses import bce_loss, dice_coefficient, focal_loss, silhouette_score
 from .network import DFlowConfig, build_dflow
-from .tensor import GradTape, backward, scale
+from .tensor import GradTape, backward
 
 __all__ = [
     "TrainConfig",
@@ -155,10 +155,11 @@ def resume(run, data):
     A step records one window of its batch at a time, last window first, and
     replays that window's tape into the parameters' ``.grad`` sums before the
     next window's forward, so it holds one window's tape whatever the batch
-    size. Its results are bit-identical to replaying one tape over the whole
-    batch. A non-finite loss raises DivergenceError before any parameter or
-    Adam moment changes, and no backward pass runs through its window (a
-    validation loss: after the update, before the step counts)."""
+    size; the replay starts from the weight 1/batch_size, so the tape is the
+    same at every batch size. Its results are bit-identical to replaying one
+    tape over the whole batch. A non-finite loss raises DivergenceError before
+    any parameter or Adam moment changes, and no backward pass runs through its
+    window (a validation loss: after the update, before the step counts)."""
     config = run.config
     windows = data.get("train", [])
     if not windows:
@@ -184,9 +185,9 @@ def resume(run, data):
         for seq in reversed(batch):
             with GradTape() as tape:
                 term = loss_fn(run.model.forward_window(seq.frames), seq.label)
-                loss = term if config.batch_size == 1 else scale(term, 1.0 / config.batch_size)
-            if np.isfinite(loss.data):
-                backward(tape, loss, params.values(), accumulate=True)
+            if np.isfinite(term.data):
+                backward(tape, term, params.values(), accumulate=True,
+                         weight=1.0 / config.batch_size)
             terms.append(term.item())
         del tape  # the last window's, before the update and validation
         # not sum(): from Python 3.12 it sums floats with compensation

@@ -1,13 +1,38 @@
+import ctypes
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dflow import tensor
 
 # make oracles.py importable regardless of how pytest is invoked
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def _openblas_core():
+    """The kernel numpy's bundled OpenBLAS chose for this CPU, or "unknown"."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    """Name the numpy and BLAS kernel a run checked the pinned bits on."""
+    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """-q drops the header, so a quiet run ends with its line instead."""
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def _traced_memory(fn, *args):

@@ -8,7 +8,7 @@ import numpy as np
 
 from dflow.network import frames_for_flow
 from dflow.tensor import (GradTape, Tensor, Zero, _record, add, backward, conv2d_same,
-                          scale, sigmoid)
+                          sigmoid)
 from dflow.training import CurveRecord, DivergenceError, _loss_fn, _val_metrics, _window_at
 
 
@@ -204,6 +204,16 @@ def hadamard(a, b):
         return (g * bd, g * ad)
 
     return _record(ad * bd, (a, b), vjp)
+
+
+def scale(a, c):
+    """Multiply by a Python scalar constant."""
+    c = float(c)
+
+    def vjp(g):
+        return (g * c,)
+
+    return _record(a.data * c, (a,), vjp)
 
 
 def sub_from_one(a):

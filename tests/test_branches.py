@@ -26,9 +26,9 @@ from dflow.cli import main
 from dflow.color import ColorImage
 from dflow.losses import bce_loss, focal_loss
 from dflow.network import PRESET_CHANNELS, DFlowConfig, build_dflow
-from dflow.tensor import GradTape, Tensor, add, backward, branches, scale
+from dflow.tensor import GradTape, Tensor, add, backward, branches
 
-from oracles import forward_window_sequential, hadamard, sum_all, tanh
+from oracles import forward_window_sequential, hadamard, scale, sum_all, tanh
 
 REPO = Path(__file__).resolve().parent.parent
 GLIBC = platform.libc_ver()[0] == "glibc"

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 
-from dflow import cli, data, recurrent
+from dflow import cli, data, network, recurrent, training
 from dflow.baselines import ThresholdParams
 from dflow.cli import main
 from dflow.data import SynthSceneParams, read_pgm
@@ -259,6 +259,21 @@ class TestTrain:
             "runtime error: non-finite validation loss nan at step 1 (seed 0, lr 1e+308)")
         assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_diverged_model_without_a_val_split_saves_nothing(self, tmp_path, capsys):
+        # no val split, so only the check of the trained model can catch that one
+        # step at a huge rate leaves weights whose sums overflow to inf - inf
+        data_dir, out = tmp_path / "ds", tmp_path / "out"
+        assert main(["synth", "--out", str(data_dir), "--train", "2", "--val", "0",
+                     "--frames", "5", "--width", "8", "--height", "8"]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                   "--channels", "2", "--steps", "1", "--lr", "1e308"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "runtime error: non-finite probabilities for source 'seq_000' frame 4")
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
                    "--out", str(tmp_path / "out")])
@@ -331,15 +346,17 @@ class TestInferEval:
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_non_finite_probabilities_are_a_runtime_error_that_writes_nothing(
             self, tmp_path, capsys, command):
-        # no val split, so one step at a huge rate trains without a check and
-        # leaves a model whose sums overflow to inf - inf
-        data_dir, run_dir, out = tmp_path / "ds", tmp_path / "run", tmp_path / "out"
+        # one step at a huge rate leaves a model whose sums overflow to inf - inf;
+        # `dflow train` would refuse to save it, so the library saves it
+        data_dir, out = tmp_path / "ds", tmp_path / "out"
         assert main(["synth", "--out", str(data_dir), "--train", "2", "--val", "0",
                      "--frames", "5", "--width", "8", "--height", "8"]) == 0
-        assert main(["train", "--dataset", str(data_dir), "--out", str(run_dir),
-                     "--channels", "2", "--steps", "1", "--lr", "1e308"]) == 0
         capsys.readouterr()
-        rc = main([command, "--checkpoint", str(run_dir / "checkpoint.dflw"),
+        model = network.build_dflow(network.DFlowConfig(channels=2), seed=0)
+        windows = data.load_split_windows(data.load_manifest(data_dir), model.config.k)
+        run = training.train(model, windows, training.TrainConfig(steps=1, lr=1e308))
+        training.save_checkpoint(run, tmp_path / "checkpoint.dflw")
+        rc = main([command, "--checkpoint", str(tmp_path / "checkpoint.dflw"),
                    "--dataset", str(data_dir), "--out", str(out), "--split", "train"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (

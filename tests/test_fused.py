@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from dflow.losses import CLAMP_EPS, bce_loss, focal_loss
 from dflow.recurrent import ConvMguCell
-from dflow.tensor import GradTape, Tensor, Zero, backward, mgu_step, scale
+from dflow.tensor import GradTape, Tensor, Zero, backward, mgu_step
 
 from oracles import (
     CELL_STEP_RECORDS,
@@ -24,6 +24,7 @@ from oracles import (
     hadamard,
     mgu_step_chain,
     rel_err,
+    scale,
     sum_all,
 )
 

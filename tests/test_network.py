@@ -216,7 +216,8 @@ class TestTapeRecords:
     inside the record), the flow sum, the decoder's conv and sigmoid, and one
     loss record: 60 + 4 = 64. Each block adds its 3D conv, time slice and
     residual add: 70. The counts do not depend on the frame size or the
-    channel count."""
+    channel count, nor on the batch size: ``backward`` weights a batched
+    window's loss, so its tape holds no extra record."""
 
     @pytest.mark.parametrize("use_block, loss, records", [
         (False, bce_loss, DESK_WINDOW_RECORDS),

@@ -20,7 +20,6 @@ from dflow.tensor import (
     conv2d_same,
     conv3d_same,
     mgu_step,
-    scale,
     sigmoid,
     time_slice,
 )
@@ -37,6 +36,7 @@ from oracles import (
     mean_all,
     power,
     rel_err,
+    scale,
     sub_from_one,
     sum_all,
     tanh,
@@ -440,6 +440,34 @@ class TestBackward:
         backward(tape, loss, ws)  # without accumulate, .grad is this tape's own gradient
         for w, want in zip(ws, first_alone):
             npt.assert_array_equal(w.grad, want)
+
+    @pytest.mark.parametrize("branched", [False, True], ids=["direct", "branches"])
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["replace", "accumulate"])
+    @pytest.mark.parametrize("c", [1.0, 1 / 2, 1 / 3, 1 / 7], ids=["1", "1/2", "1/3", "1/7"])
+    def test_weight_seeds_the_replay_as_a_scale_record_would(self, c, accumulate, branched):
+        """``backward(..., weight=c)`` gives the gradients of a tape that ends in
+        ``scale(loss, c)``, bit for bit, sign bits included."""
+        rng = np.random.default_rng(23)
+        ws = [Tensor(rng.uniform(-1, 1, size=(2, 2, 3, 3)), requires_grad=True)
+              for _ in range(2)]
+        x = rand(rng, 2, 6, 6)
+        mask = Tensor(rng.integers(0, 2, size=(2, 6, 6)).astype(np.float64))
+        carried = [rng.uniform(-1, 1, size=w.shape) for w in ws]
+        fns = [lambda w=w: conv2d_same(tanh(conv2d_same(x, w)), w) for w in ws]
+
+        def grads(weight, loss_of):
+            for w, g in zip(ws, carried):
+                w.grad = g.copy()
+            with GradTape() as tape:
+                a, b = branches(fns) if branched else [fn() for fn in fns]
+                loss = loss_of(mean_all(hadamard(mask, hadamard(a, b))))
+            backward(tape, loss, ws, accumulate=accumulate, weight=weight)
+            return [w.grad for w in ws]
+
+        for got, want in zip(grads(c, lambda loss: loss),
+                             grads(1.0, lambda loss: scale(loss, c))):
+            npt.assert_array_equal(got, want)
+            npt.assert_array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("op,dfun", [
         (sigmoid, None), (tanh, None), (log, None),

@@ -16,7 +16,7 @@ from dflow.color import ColorImage
 from dflow.data import FrameSequence, SynthSceneParams, load_manifest, \
     load_split_windows, synth_generate
 from dflow.network import DFlowConfig, build_dflow
-from dflow.tensor import Tensor, sigmoid
+from dflow.tensor import Tensor, backward, sigmoid
 from dflow.training import (
     CheckpointError,
     DivergenceError,
@@ -33,7 +33,8 @@ from dflow.training import (
 
 from fixtures import v1_checkpoint
 from fuzz import damaged, fuzz_settings
-from oracles import hadamard, mean_all, resume_one_tape
+from oracles import (BLOCK_WINDOW_RECORDS, DESK_WINDOW_RECORDS, hadamard, mean_all,
+                     resume_one_tape)
 
 V1_BLOB = v1_checkpoint.CHECKPOINT.read_bytes()
 V1_HEADER_END = 16 + struct.unpack_from("<Q", V1_BLOB, 8)[0]
@@ -187,6 +188,26 @@ class TestOneWindowAtATime:
         for name in want.adam_m:
             npt.assert_array_equal(got.adam_m[name], want.adam_m[name])
             npt.assert_array_equal(got.adam_v[name], want.adam_v[name])
+
+    @pytest.mark.parametrize("use_block, loss, records", [
+        (False, "bce", DESK_WINDOW_RECORDS),
+        (True, "focal", BLOCK_WINDOW_RECORDS),
+    ], ids=["stack_bce", "block_focal"])
+    @pytest.mark.parametrize("batch_size", [2, 3])
+    def test_a_batched_window_records_what_one_window_alone_does(
+            self, monkeypatch, batch_size, use_block, loss, records):
+        lengths = []
+
+        def spy(tape, *args, **kwargs):
+            lengths.append(len(tape))
+            return backward(tape, *args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "backward", spy)
+        model = build_dflow(DFlowConfig(channels=2, k=4, use_block=use_block), seed=5)
+        data = {"train": [v1_checkpoint.fixture_window(seed=s, k=4) for s in (11, 12, 13)]}
+        resume(TrainRun(model=model, config=TrainConfig(loss=loss, batch_size=batch_size,
+                                                        steps=1)), data)
+        assert lengths == [records] * batch_size
 
     def test_step_peak_does_not_grow_with_the_batch(self, traced_memory):
         data = {"train": [v1_checkpoint.fixture_window(seed=s, side=16) for s in range(4)]}
