@@ -138,8 +138,7 @@ def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
     and row sum is the same on any split. Memory is O(block * n + nf * nb)
     for nf target and nb non-target samples (n the larger): only the
     target-to-background distances are held whole. A desk window (74 of
-    32x32 pixels in the target) peaks at 2.1 MiB traced and takes about 6 ms
-    on two CPUs, 9.4 ms on one."""
+    32x32 pixels in the target) peaks at 2.1 MiB traced."""
     mask = validate_label_mask(pred).reshape(-1)
     px = np.asarray(image_pixels, dtype=np.float64)
     if px.ndim != 3 or px.shape[0] != 3:

@@ -10,6 +10,8 @@ spatial axes; im2col copies a strided view of the zero-padded input once.
 
 mgu_step is the ConvMGU recurrence as one tape record; its vjp returns the
 primitive chain's terms in the chain's order, so results keep their bits.
+The record keeps h_{t-1}, f_t and the tanh candidate; its vjp recomputes the
+gated state f_t o h_{t-1} by the forward's numpy product, on any BLAS kernel.
 :class:`Zero` is a read-only all-zero constant: an unbiased conv of one
 returns a new Zero at once, with no work and no tape record, and mgu_step
 from one skips its recurrent convs and the gated state.
@@ -500,17 +502,16 @@ def conv3d_same(x, kernel, bias=None):
 
 def mgu_step(zf, zh, h_prev, u_f, u_h):
     """One ConvMGU step from the input terms zf = W_f * x + b_f, zh = W_h * x + b_h.
-    Returns h = (1 - f) o h_prev + f o tanh(zh + U_h * (f o h_prev)), one tape record,
-    and the untracked gate f = sigmoid(zf + U_f * h_prev). A Zero h_prev skips both
-    recurrent convs (run untracked through conv2d_same) and the gated state."""
+    Returns h = (1 - f) o h_prev + f o tanh(zh + U_h * (f o h_prev)), one tape record
+    keeping h_prev, f and the candidate, and the untracked gate f = sigmoid(zf + U_f * h_prev).
+    A Zero h_prev skips both recurrent convs (untracked conv2d_same calls) and f o h_prev."""
     zero = isinstance(h_prev, Zero)
     hd, kf, kh = h_prev.data, u_f.data, u_h.data
     rf = conv2d_same(h_prev if zero else Tensor(hd), Tensor(kf))
     for t in (zh, h_prev, rf):
         _require_same_shape(zf, t, "mgu_step")
     f = _sigmoid_values(zf.data + rf.data)
-    gated = None if zero else f * hd
-    rh = conv2d_same(h_prev if zero else Tensor(gated), Tensor(kh))
+    rh = conv2d_same(h_prev if zero else Tensor(f * hd), Tensor(kh))
     _require_same_shape(zh, rh, "mgu_step")
     cand = np.asarray(zh.data + rh.data)
     np.tanh(cand, out=cand)
@@ -523,7 +524,7 @@ def mgu_step(zf, zh, h_prev, u_f, u_h):
         gc = _times(1.0 - cand * cand, g * f)  # times the tanh derivative
         if zero:
             return (gc, None, None, None, _times(_d_sigmoid(f), gf), None, None)
-        g_gated, gk_h = _conv_grads(gated, kh, gc, True)
+        g_gated, gk_h = _conv_grads(f * hd, kh, gc, True)
         gf += g_gated * hd
         gz = _times(_d_sigmoid(f), gf)
         gh, gk_f = _conv_grads(hd, kf, gz, need_h)

@@ -25,8 +25,12 @@ def _openblas_core():
 
 
 def pytest_report_header(config):
-    """Name the numpy and BLAS kernel a run checked the pinned bits on."""
-    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
+    """Name the numpy and BLAS kernel a run checked the pinned bits on, and the
+    usable CPUs and branch pool: with one CPU there is no pool, the pool tests
+    skip and the memory and thread figures read differently."""
+    pool = "on" if tensor._POOL is not None else "off"
+    return (f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}, "
+            f"{tensor._CPUS} usable CPUs, branch pool {pool}")
 
 
 def pytest_terminal_summary(terminalreporter, config):

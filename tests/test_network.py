@@ -15,7 +15,8 @@ from dflow.network import (
     frames_for_flow,
 )
 from dflow.recurrent import ConvMguStack2, count_actual_params
-from dflow.tensor import GradTape, Tensor, Zero, _leaves, _Node, backward, branches
+from dflow.tensor import (GradTape, Tensor, Zero, _leaves, _Node, backward, branches,
+                          mgu_step)
 
 from oracles import (BLOCK_WINDOW_RECORDS, DESK_WINDOW_RECORDS, cell_weight_arrays,
                      finite_difference, mean_all, rel_err, stack2_naive)
@@ -244,11 +245,14 @@ def _closure_objects(fn):
 class TestTapeMemory:
     """The tape keeps only what backward reads: records hold data-free nodes,
     and each vjp closes over arrays, never over an intermediate tensor, so an
-    op output that no vjp reads is freed once the forward drops it."""
+    op output that no vjp reads is freed once the forward drops it. A cell
+    step's record keeps three state-sized arrays, h_{t-1}, f_t and the tanh
+    candidate; its vjp recomputes the gated state f_t o h_{t-1} with the
+    forward's own numpy product, so no bit depends on the BLAS kernel."""
 
-    def window(self, rng, use_block=False):
-        model = build_dflow(tiny_config(channels=PRESET_CHANNELS["small"], k=4,
-                                        use_block=use_block), seed=0)
+    def window(self, rng, use_block=False, channels=PRESET_CHANNELS["small"]):
+        model = build_dflow(tiny_config(channels=channels, k=4, use_block=use_block),
+                            seed=0)
         label = (rng.uniform(size=(1, 32, 32)) > 0.5).astype(np.float64)
         return model, rand_frames(rng, 5, side=32), label
 
@@ -279,6 +283,50 @@ class TestTapeMemory:
 
         held, _ = traced_memory(record)
         assert held <= 14 * 2 ** 20
+
+    @pytest.mark.parametrize("preset, use_block, loss, bound_mib", [
+        ("small", False, bce_loss, 8.5),
+        ("base", True, focal_loss, 20.5),
+    ], ids=["desk_bce", "base_block_focal"])
+    def test_held_memory_of_a_window_has_no_gated_states(self, traced_memory, preset,
+                                                         use_block, loss, bound_mib):
+        """9.7 and 24.0 MiB when each cell step kept f_t o h_{t-1} too."""
+        model, frames, label = self.window(np.random.default_rng(0), use_block,
+                                           PRESET_CHANNELS[preset])
+
+        def record():
+            with GradTape() as tape:
+                out = loss(model.forward_window(frames), label)
+            return tape, out
+
+        held, _ = traced_memory(record)
+        assert held <= bound_mib * 2 ** 20
+
+    def test_a_cell_step_keeps_h_prev_the_gate_and_the_candidate(self, monkeypatch):
+        from dflow import recurrent
+
+        steps = {}  # output node id -> (h_prev data, h data, f) of a tracked-state step
+
+        def spy(zf, zh, h_prev, u_f, u_h):
+            h, f = mgu_step(zf, zh, h_prev, u_f, u_h)
+            if not isinstance(h_prev, Zero):
+                steps[id(h._node)] = (h_prev.data, h.data, f.data)
+            return h, f
+
+        monkeypatch.setattr(recurrent, "mgu_step", spy)
+        model, frames, label = self.window(np.random.default_rng(0))
+        with GradTape() as tape:
+            bce_loss(model.forward_window(frames), label)
+        records = [(steps[id(out)], vjp) for out, _, vjp in _leaves(tape._records)
+                   if id(out) in steps]
+        assert len(records) == 2 * 2 * 4  # flows x layers x steps from a tracked state
+        for (hd, y, f), vjp in records:
+            kept = [obj for obj in _closure_objects(vjp)
+                    if isinstance(obj, np.ndarray) and obj.shape == y.shape]
+            assert len(kept) == 3
+            rest = [a for a in kept if a is not hd and a is not f]
+            assert len(rest) == 1  # the candidate: h = (1 - f) o h_prev + f o cand
+            npt.assert_array_equal((1.0 - f) * hd + f * rest[0], y)
 
 
 class TestZeroInitialState:
