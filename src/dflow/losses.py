@@ -30,6 +30,8 @@ __all__ = [
 CLAMP_EPS = 1e-7
 # distance rows that silhouette_score builds at once, over all its groups
 _SILHOUETTE_BLOCK = 64
+# pixels silhouette_score samples at most from each class
+_SILHOUETTE_SAMPLE = 1000
 
 
 def validate_label_mask(label):
@@ -125,13 +127,13 @@ def _distance_group(blocks, size):
             sums[:] = _distances(rows, others, diff, diff[0]).sum(axis=1)
 
 
-def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
+def silhouette_score(pred, image_pixels, seed=0):
     """Mean silhouette s(i) = (b - a) / max(a, b) over sampled pixels.
 
     Features are the 3 colour channels of ``image_pixels``; the two clusters
-    are the predicted target / non-target pixels. Up to ``sample_n`` pixels
-    per class are drawn deterministically from ``seed``. Returns 0.0 when
-    either class is empty; singleton clusters contribute s = 0.
+    are the predicted target / non-target pixels. Up to ``_SILHOUETTE_SAMPLE``
+    (1000) pixels per class are drawn deterministically from ``seed``. Returns
+    0.0 when either class is empty; singleton clusters contribute s = 0.
 
     Distances are built ``_SILHOUETTE_BLOCK`` rows at a time in all, the rows
     shared out as one group per usable CPU on the branch pool; each distance
@@ -147,8 +149,6 @@ def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
         raise ValueError("image and mask spatial sizes differ")
     if mask.size < 2:
         raise ValueError("need at least 2 pixels for a silhouette")
-    if sample_n < 2:
-        raise ValueError("sample_n must be >= 2")
 
     features = px.reshape(3, -1)
     fg_idx = np.flatnonzero(mask == 1.0)
@@ -157,10 +157,10 @@ def silhouette_score(pred, image_pixels, sample_n=1000, seed=0):
         return 0.0
 
     rng = np.random.default_rng(seed)
-    if fg_idx.size > sample_n:
-        fg_idx = rng.choice(fg_idx, size=sample_n, replace=False)
-    if bg_idx.size > sample_n:
-        bg_idx = rng.choice(bg_idx, size=sample_n, replace=False)
+    if fg_idx.size > _SILHOUETTE_SAMPLE:
+        fg_idx = rng.choice(fg_idx, size=_SILHOUETTE_SAMPLE, replace=False)
+    if bg_idx.size > _SILHOUETTE_SAMPLE:
+        bg_idx = rng.choice(bg_idx, size=_SILHOUETTE_SAMPLE, replace=False)
     fg = features[:, fg_idx]
     bg = features[:, bg_idx]
 

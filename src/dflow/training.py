@@ -62,10 +62,13 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, each written into the checkpoint header. Adam is the
+    one optimiser: ``optimizer`` must be "adam", as every v1 header names it."""
+
     loss: str = "bce"            # "bce" | "focal"
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
-    optimizer: str = "adam"      # "adam" | "sgd"
+    optimizer: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -79,7 +82,7 @@ class TrainConfig:
         check_fields(self)
         if self.loss not in ("bce", "focal"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer != "adam":
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr < 0.0:
             raise ValueError("lr must be >= 0")
@@ -167,10 +170,9 @@ def resume(run, data):
     val_windows = data.get("val", [])
     loss_fn = _loss_fn(config)
     params = run.model.parameters()
-    if config.optimizer == "adam":
-        for name, p in params.items():
-            run.adam_m.setdefault(name, np.zeros_like(p.data))
-            run.adam_v.setdefault(name, np.zeros_like(p.data))
+    for name, p in params.items():
+        run.adam_m.setdefault(name, np.zeros_like(p.data))
+        run.adam_v.setdefault(name, np.zeros_like(p.data))
 
     while run.step < config.steps:
         step = run.step + 1
@@ -197,17 +199,13 @@ def resume(run, data):
                 f"non-finite training loss {loss_value!r} at step {step} "
                 f"(seed {config.seed}, lr {config.lr})")
 
-        if config.optimizer == "sgd":
-            for p in params.values():
-                p.data -= config.lr * p.grad
-        else:
-            b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-            for name, p in params.items():
-                m = run.adam_m[name] = b1 * run.adam_m[name] + (1 - b1) * p.grad
-                v = run.adam_v[name] = b2 * run.adam_v[name] + (1 - b2) * p.grad ** 2
-                m_hat = m / (1.0 - b1 ** step)
-                v_hat = v / (1.0 - b2 ** step)
-                p.data -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
+        b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+        for name, p in params.items():
+            m = run.adam_m[name] = b1 * run.adam_m[name] + (1 - b1) * p.grad
+            v = run.adam_v[name] = b2 * run.adam_v[name] + (1 - b2) * p.grad ** 2
+            m_hat = m / (1.0 - b1 ** step)
+            v_hat = v / (1.0 - b2 ** step)
+            p.data -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
 
         val_loss = val_dice = None
         if val_windows and (step % config.eval_interval == 0 or step == config.steps):
@@ -283,15 +281,14 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4):
     """Compare every parameter's analytic gradient against central finite
     differences, with a fixed step of 1e-6, on one sample window.
     Restricted to small models (<= 5000 parameters) since each entry costs
-    two forward passes. ``loss`` is "bce", "focal", or any callable
-    (probs, label) -> scalar tensor."""
+    two forward passes. ``loss`` is "bce" or "focal"."""
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     params = model.parameters()
     total = sum(p.data.size for p in params.values())
     if total > 5000:
         raise ValueError(f"model has {total} parameters; gradcheck is capped at 5000")
-    loss_fn = loss if callable(loss) else _loss_fn(TrainConfig(loss=loss))
+    loss_fn = _loss_fn(TrainConfig(loss=loss))
     h = 1e-6
 
     def forward_loss():

@@ -86,10 +86,11 @@ def corrupt_copy(path, defect):
     ``string_shape``, ``float_offset``, ``negative_offset``,
     ``float_channels``, ``bool_k``, ``float_batch_size``, ``fractional_seed``,
     ``string_focal_alpha``, ``bool_eval_interval``, ``bool_lr``,
-    ``beta2_above_one``, ``string_curve_loss``, ``fractional_curve_step``,
-    ``missing_adam_moment``, ``duplicate_entry``, ``reordered_entries``,
-    ``extra_header_key``, ``trailing_bytes`` or ``future_version``. The last
-    six keep the directory's offsets consistent with the payload."""
+    ``beta2_above_one``, ``sgd_optimizer``, ``string_curve_loss``,
+    ``fractional_curve_step``, ``missing_adam_moment``, ``duplicate_entry``,
+    ``reordered_entries``, ``extra_header_key``, ``trailing_bytes`` or
+    ``future_version``. The last six keep the directory's offsets consistent
+    with the payload."""
     blob = CHECKPOINT.read_bytes()
     if defect == "short_file":
         path.write_bytes(blob[:10])
@@ -138,6 +139,8 @@ def corrupt_copy(path, defect):
         header["train_config"]["lr"] = True
     elif defect == "beta2_above_one":
         header["train_config"]["beta2"] = 2.0
+    elif defect == "sgd_optimizer":
+        header["train_config"]["optimizer"] = "sgd"
     elif defect == "string_curve_loss":
         header["curve"][0] = [1, "x", None, None]
     elif defect == "fractional_curve_step":

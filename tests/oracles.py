@@ -109,11 +109,11 @@ def _mean_pairwise(dists, same_cluster):
     return dists.mean(axis=1)
 
 
-def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
+def silhouette_naive(pred, image_pixels, seed=0):
     """The silhouette score as first written, with full (n, m, 3) difference
-    arrays; same sampling and summation order, so results must match
-    ``losses.silhouette_score`` bit for bit. ``pred`` must be a binary mask
-    with at least 2 pixels."""
+    arrays; same sampling (at most 1000 pixels per class) and summation order,
+    so results must match ``losses.silhouette_score`` bit for bit. ``pred``
+    must be a binary mask with at least 2 pixels."""
     mask = np.asarray(pred, dtype=np.float64).reshape(-1)
     px = np.asarray(image_pixels, dtype=np.float64)
     features = px.reshape(3, -1).T
@@ -123,10 +123,10 @@ def silhouette_naive(pred, image_pixels, sample_n=1000, seed=0):
         return 0.0
 
     rng = np.random.default_rng(seed)
-    if fg_idx.size > sample_n:
-        fg_idx = rng.choice(fg_idx, size=sample_n, replace=False)
-    if bg_idx.size > sample_n:
-        bg_idx = rng.choice(bg_idx, size=sample_n, replace=False)
+    if fg_idx.size > 1000:
+        fg_idx = rng.choice(fg_idx, size=1000, replace=False)
+    if bg_idx.size > 1000:
+        bg_idx = rng.choice(bg_idx, size=1000, replace=False)
     fg = features[fg_idx]
     bg = features[bg_idx]
 
@@ -168,6 +168,22 @@ def brute_force_local_mean(g, window, weights=None):
                     acc += weights[i, j] * g[yy, xx]
             out[y, x] = acc
     return out
+
+
+def otsu_variances_naive(levels):
+    """The between-class variance w0 * w1 * (mu0 - mu1) ** 2 of every split of
+    integer levels into <= t and > t, for t = 0..255, by brute force over the
+    pixels; None where a class is empty."""
+    x = np.asarray(levels).reshape(-1)
+    variances = []
+    for t in range(256):
+        low, high = x[x <= t], x[x > t]
+        if low.size == 0 or high.size == 0:
+            variances.append(None)
+            continue
+        w0, w1 = low.size / x.size, high.size / x.size
+        variances.append(w0 * w1 * (low.mean() - high.mean()) ** 2)
+    return variances
 
 
 def gaussian_grid(window, sigma):
@@ -384,10 +400,9 @@ def resume_one_tape(run, data):
     windows, val_windows = data["train"], data.get("val", [])
     loss_fn = _loss_fn(config)
     params = run.model.parameters()
-    if config.optimizer == "adam":
-        for name, p in params.items():
-            run.adam_m.setdefault(name, np.zeros_like(p.data))
-            run.adam_v.setdefault(name, np.zeros_like(p.data))
+    for name, p in params.items():
+        run.adam_m.setdefault(name, np.zeros_like(p.data))
+        run.adam_v.setdefault(name, np.zeros_like(p.data))
 
     while run.step < config.steps:
         step = run.step + 1
@@ -408,17 +423,13 @@ def resume_one_tape(run, data):
                 f"(seed {config.seed}, lr {config.lr})")
         backward(tape, loss, params.values())
 
-        if config.optimizer == "sgd":
-            for p in params.values():
-                p.data -= config.lr * p.grad
-        else:
-            b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-            for name, p in params.items():
-                m = run.adam_m[name] = b1 * run.adam_m[name] + (1 - b1) * p.grad
-                v = run.adam_v[name] = b2 * run.adam_v[name] + (1 - b2) * p.grad ** 2
-                m_hat = m / (1.0 - b1 ** step)
-                v_hat = v / (1.0 - b2 ** step)
-                p.data -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
+        b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+        for name, p in params.items():
+            m = run.adam_m[name] = b1 * run.adam_m[name] + (1 - b1) * p.grad
+            v = run.adam_v[name] = b2 * run.adam_v[name] + (1 - b2) * p.grad ** 2
+            m_hat = m / (1.0 - b1 ** step)
+            v_hat = v / (1.0 - b2 ** step)
+            p.data -= config.lr * m_hat / (np.sqrt(v_hat) + eps)
 
         val_loss = val_dice = None
         if val_windows and (step % config.eval_interval == 0 or step == config.steps):

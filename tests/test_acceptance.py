@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete. Criterion 5 trains two desk-scale models and takes a
-few minutes; everything else finishes in seconds.
+lines as they complete. Criterion 5 trains two desk-scale models and takes
+about a minute (it carries the ``slow`` marker); everything else finishes in
+seconds.
 """
 
 import functools
@@ -180,6 +181,7 @@ def desk_dataset(tmp_path_factory):
     return load_split_windows(load_manifest(root), k=4)
 
 
+@pytest.mark.slow
 @criterion(5, "desk-scale training: val dice >= 0.90, double-flow >= yuv single-flow (<15min)")
 def test_criterion_5_desk_scale_training(desk_dataset):
     start = time.perf_counter()

@@ -16,7 +16,7 @@ from dflow.baselines import (
 from dflow.color import extract_y, rgb_to_yuv
 from dflow.data import SynthSceneParams, read_frame, synth_generate
 
-from oracles import brute_force_local_mean, gaussian_grid
+from oracles import brute_force_local_mean, gaussian_grid, otsu_variances_naive
 
 
 def brute_force_distance(mask):
@@ -182,6 +182,17 @@ class TestOtsu:
         # or full: distance_transform_threshold relies on this
         for level in range(255):
             assert otsu_threshold(np.array([[level, 255.0]]) / 255.0) * 255.0 == level
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_level_reaches_the_brute_force_maximum_variance(self, seed):
+        # Otsu's clip of the levels at 255 needs no test: a [0, 1] plane never
+        # rounds above 255, so a clip at 256 would change nothing
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(0, 256, size=(12, 16))
+        variances = otsu_variances_naive(levels)
+        best = max(v for v in variances if v is not None)
+        level = round(otsu_threshold(levels / 255.0) * 255.0)
+        assert variances[level] >= best * (1.0 - 1e-12)
 
 
 class TestDistanceTransform:

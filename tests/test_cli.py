@@ -304,7 +304,7 @@ class TestInferEval:
                                         "negative_offset", "float_channels", "bool_k",
                                         "float_batch_size", "fractional_seed",
                                         "string_focal_alpha", "bool_eval_interval",
-                                        "bool_lr", "string_curve_loss",
+                                        "bool_lr", "sgd_optimizer", "string_curve_loss",
                                         "fractional_curve_step", "missing_adam_moment",
                                         "duplicate_entry", "reordered_entries",
                                         "extra_header_key", "trailing_bytes"])

@@ -499,6 +499,33 @@ class TestSynthGenerate:
             SynthSceneParams(width=width, height=height, distractor_count=1)
         SynthSceneParams(width=width, height=height, distractor_count=0)
 
+    @pytest.mark.parametrize("width, height", [(2, 2), (2, 40), (40, 2)])
+    def test_distractors_fit_two_pixels_on_each_side(self, tmp_path, width, height):
+        params = SynthSceneParams(width=width, height=height, distractor_count=1,
+                                  flicker_rate=1.0)
+        src = synth_generate(params, 1, 2, tmp_path, ["train"]).sources[0]
+        for frame_rel, label_rel in zip(src.frames, src.labels):
+            px = read_ppm(tmp_path / frame_rel)
+            label = read_pgm(tmp_path / label_rel)[0]
+            dominant = (px[1] > px[0] + GREEN_MARGIN) & (px[1] > px[2] + GREEN_MARGIN)
+            assert (dominant & (label == 0.0)).sum() == 4  # one visible 2x2 patch
+
+    @pytest.mark.parametrize("name", ["brightness_drift", "flicker_rate", "noise_level"])
+    def test_rates_may_be_one_but_not_above(self, name):
+        SynthSceneParams(**{name: 1.0})
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\], got 1.25"):
+            SynthSceneParams(**{name: 1.25})
+
+    def test_a_two_frame_sequence_moves_half_a_period_per_frame(self, tmp_path):
+        # the centre moves with sin(2 pi t / length + phase): frame 1 of 2 and
+        # frame 2 of 4 are both half a period on, so their polygons are equal
+        params = SynthSceneParams(width=16, height=16, seed=5)
+        two = synth_generate(params, 1, 2, tmp_path / "two", ["train"])
+        four = synth_generate(params, 1, 4, tmp_path / "four", ["train"])
+        polygons = [m.sources[0].metadata["polygons"] for m in (two, four)]
+        assert polygons[0][1] == polygons[1][2]
+        assert polygons[0][0] == polygons[1][0] != polygons[0][1]
+
 
 class TestLoadedFrames:
     """Frames loaded by ``load_split_windows`` against float frames of the same files."""
@@ -545,7 +572,7 @@ class TestLoadedFrames:
                 for run, windows in zip(runs, (loaded, floats))]
         assert rows[0] == rows[1]
 
-    @pytest.mark.parametrize("maxval", [255, 100, 65535, 1000])
+    @pytest.mark.parametrize("maxval", [255, 100, 65535, 1000, 256])
     def test_pixels_equal_read_ppm_in_values_dtype_and_strides(self, tmp_path, maxval):
         h, w = 3, 5
         samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=h * w * 3)

@@ -205,12 +205,13 @@ class TestSilhouette:
         npt.assert_allclose(silhouette_score(pred, img), 1.0, atol=1e-12)
 
     def test_deterministic_given_seed(self):
+        # both classes hold more than the 1000 pixels sampled from each
         rng = np.random.default_rng(5)
-        img = rng.uniform(0, 1, size=(3, 20, 20))
-        pred = (rng.uniform(size=(1, 20, 20)) > 0.5).astype(np.float64)
-        a = silhouette_score(pred, img, sample_n=50, seed=9)
-        b = silhouette_score(pred, img, sample_n=50, seed=9)
-        assert a == b
+        img = rng.uniform(0, 1, size=(3, 48, 48))
+        pred = (rng.uniform(size=(1, 48, 48)) > 0.5).astype(np.float64)
+        a = silhouette_score(pred, img, seed=9)
+        b = silhouette_score(pred, img, seed=9)
+        assert a == b != silhouette_score(pred, img, seed=10)
 
     def test_range_and_degenerate_inputs(self):
         rng = np.random.default_rng(6)
@@ -220,15 +221,14 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette_score(np.ones((1, 1, 1)), np.zeros((3, 1, 1)))
 
-    @pytest.mark.parametrize("img_shape, sample_n, message", [
-        ((1, 2, 2), 1000, r"expected image pixels \(3, H, W\), got \(1, 2, 2\)"),
-        ((3, 2, 3), 1000, "image and mask spatial sizes differ"),
-        ((3, 2, 2), 1, "sample_n must be >= 2"),
-    ], ids=["channels", "size", "sample_n"])
-    def test_rejects_malformed_inputs(self, img_shape, sample_n, message):
+    @pytest.mark.parametrize("img_shape, message", [
+        ((1, 2, 2), r"expected image pixels \(3, H, W\), got \(1, 2, 2\)"),
+        ((3, 2, 3), "image and mask spatial sizes differ"),
+    ], ids=["channels", "size"])
+    def test_rejects_malformed_inputs(self, img_shape, message):
         pred = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         with pytest.raises(ValueError, match=message):
-            silhouette_score(pred, np.zeros(img_shape), sample_n=sample_n)
+            silhouette_score(pred, np.zeros(img_shape))
 
     def test_singleton_cluster_contributes_zero(self):
         img = gray_image([[0.0, 0.4, 0.8]])
@@ -241,17 +241,16 @@ class TestSilhouette:
 
 @st.composite
 def silhouette_cases(draw):
-    """(mask, image, sample_n, seed) with every foreground count from 0 (a
-    single class) through 1 (a singleton cluster) to the whole image."""
+    """(mask, image, seed) with every foreground count from 0 (a single
+    class) through 1 (a singleton cluster) to the whole image."""
     h = draw(st.integers(1, 48))
     w = draw(st.integers(2 if h == 1 else 1, 48))
     n_fg = draw(st.integers(0, h * w))
-    sample_n = draw(st.sampled_from([2, 5, 1000]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     mask = np.zeros(h * w)
     mask[rng.permutation(h * w)[:n_fg]] = 1.0
-    return mask.reshape(h, w), rng.uniform(size=(3, h, w)), sample_n, seed
+    return mask.reshape(h, w), rng.uniform(size=(3, h, w)), seed
 
 
 def _capped_case():
@@ -259,7 +258,7 @@ def _capped_case():
     rng = np.random.default_rng(3)
     mask = np.zeros(48 * 48)
     mask[rng.permutation(48 * 48)[:1152]] = 1.0
-    return mask.reshape(48, 48), rng.uniform(size=(3, 48, 48)), 1000, 3
+    return mask.reshape(48, 48), rng.uniform(size=(3, 48, 48)), 3
 
 
 def _own_cluster_case(n_fg, side=16):
@@ -267,21 +266,20 @@ def _own_cluster_case(n_fg, side=16):
     rng = np.random.default_rng(n_fg)
     mask = np.zeros(side * side)
     mask[rng.permutation(side * side)[:n_fg]] = 1.0
-    return mask.reshape(side, side), rng.uniform(size=(3, side, side)), 1000, n_fg
+    return mask.reshape(side, side), rng.uniform(size=(3, side, side)), n_fg
 
 
 class TestSilhouetteOracle:
     @settings(max_examples=60, deadline=None)
     @given(silhouette_cases())
     @example(_capped_case())
+    @example(_own_cluster_case(1200, side=40))  # only the target is sampled
     @example(_own_cluster_case(2))
     @example(_own_cluster_case(_SILHOUETTE_BLOCK - 1))
     @example(_own_cluster_case(_SILHOUETTE_BLOCK))
     @example(_own_cluster_case(_SILHOUETTE_BLOCK + 1))
     def test_matches_the_pairwise_reference_bit_for_bit(self, case):
-        mask, img, sample_n, seed = case
-        assert silhouette_score(mask, img, sample_n, seed) == \
-            silhouette_naive(mask, img, sample_n, seed)
+        assert silhouette_score(*case) == silhouette_naive(*case)
 
 
 class TestSilhouetteMemory:
@@ -289,13 +287,12 @@ class TestSilhouetteMemory:
     peak is the fg-bg matrix plus O(block * n), not an n x n matrix."""
 
     def test_desk_window_peak(self, traced_memory):
-        mask, img, _, _ = _own_cluster_case(74, side=32)
+        mask, img, _ = _own_cluster_case(74, side=32)
         _, peak = traced_memory(silhouette_score, mask, img)
         assert peak / 2 ** 20 < 4.0
 
     def test_peak_with_both_classes_at_the_sample_cap(self, traced_memory):
-        mask, img, sample_n, seed = _capped_case()
-        _, peak = traced_memory(silhouette_score, mask, img, sample_n, seed)
+        _, peak = traced_memory(silhouette_score, *_capped_case())
         assert peak / 2 ** 20 < 18.0
 
 

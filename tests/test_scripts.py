@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -19,6 +21,7 @@ def run_script(name, workdir):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.slow
 def test_desk_experiment_writes_metrics(tmp_path):
     run_script("run_desk_experiment.py", tmp_path)
     metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
@@ -26,6 +29,7 @@ def test_desk_experiment_writes_metrics(tmp_path):
     assert metrics["n_windows"] > 0
 
 
+@pytest.mark.slow
 def test_color_ablation_writes_seven_curves(tmp_path):
     run_script("run_color_ablation.py", tmp_path)
     names = sorted(p.name for p in (tmp_path / "curves").glob("*.csv"))
