@@ -242,6 +242,12 @@ def _load_run(args):
     return run, windows
 
 
+def _training_windows(dataset, k):
+    """The train and val windows of ``dataset``: training reads no test-split file."""
+    manifest = data.load_manifest(dataset)
+    return {split: list(data.window_sequences(manifest, k, split)) for split in ("train", "val")}
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -283,7 +289,7 @@ def _cmd_train(args):
                           colors="+".join(filter(None, (mc.flow_a_space, mc.flow_b_space))),
                           loss=run.config.loss, lr=run.config.lr, seed=run.config.seed)
     out_dir = _echo_config(args)
-    windows = data.load_split_windows(data.load_manifest(args.dataset), run.model.config.k)
+    windows = _training_windows(args.dataset, run.model.config.k)
     run = training.resume(run, windows)
     training.predict_window(run.model, windows["train"][0])  # a diverged model saves nothing
     training.save_checkpoint(run, out_dir / "checkpoint.dflw")
@@ -383,7 +389,7 @@ def _cmd_ablate(args):
     train_config = _valid(training.TrainConfig, loss=args.loss, lr=args.lr,
                           steps=args.steps, seed=args.seed)
     out_dir = _echo_config(args)
-    dataset = data.load_split_windows(data.load_manifest(args.dataset), args.k)
+    dataset = _training_windows(args.dataset, args.k)
     for name, model_config in model_configs.items():
         model = network.build_dflow(model_config, seed=args.seed)
         run = training.train(model, dataset, train_config)

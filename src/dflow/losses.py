@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .tensor import _CPUS, Tensor, _record, _run_all
+from .tensor import _CPUS, _record, _run_all
 
 __all__ = [
     "validate_label_mask",
@@ -50,7 +50,7 @@ def _focal_record(p, y, alpha_pos, alpha_neg, gamma):
     pd = p.data
     if pd.size == 0:
         raise ValueError(f"empty prediction of shape {pd.shape}")
-    yd = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    yd = np.asarray(y, dtype=np.float64)
     if yd.shape != pd.shape:
         raise ValueError(f"label shape {yd.shape} does not match prediction {pd.shape}")
     yd, lo, hi = validate_label_mask(yd), CLAMP_EPS, 1.0 - CLAMP_EPS

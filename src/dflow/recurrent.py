@@ -8,13 +8,14 @@ for a same-size 2D convolution:
 
 with * the padded cross-correlation and o the elementwise product. A step
 records the input convs W_f * x_t + b_f and W_h * x_t + b_h, which depend on
-x_t only, and the recurrence (``tensor.mgu_step``): 3 tape records; from the
-zero ``initial_state`` the recurrence skips U_f, U_h and the gated state. The
-block stacks two cells and adds a 3D-conv shortcut from the raw frames to the
-final step's output. Parameter-count formulas for the two-layer ConvLSTM, the
-block and the plain stack are implemented exactly as printed (they charge
-(gamma + kappa) input channels to both layers, which overstates layer 2);
-``count_actual_params`` reports the true constructed sizes.
+x_t only, and the recurrence (``tensor.mgu_step``): 3 tape records. The zero
+``initial_state`` takes the first input's frame size and dtype; from it the
+recurrence skips U_f, U_h and the gated state. The block stacks two cells
+and adds a 3D-conv shortcut from the raw frames to the final step's output.
+Parameter-count formulas for the two-layer ConvLSTM, the block and the plain
+stack are implemented exactly as printed (they charge (gamma + kappa) input
+channels to both layers, which overstates layer 2); ``count_actual_params``
+reports the true constructed sizes.
 """
 
 from __future__ import annotations
@@ -106,8 +107,10 @@ class ConvMguCell:
             "w_h": self.w_h, "u_h": self.u_h, "b_h": self.b_h,
         }
 
-    def initial_state(self, height, width):
-        return Zero((self.hidden_channels, height, width))
+    def initial_state(self, x):
+        """The zero state for a sequence whose first input is ``x``: its
+        (H, W) frame size and its dtype."""
+        return Zero((self.hidden_channels, *x.data.shape[1:]), x.data.dtype)
 
     def step_with_gate(self, x, h_prev):
         """One recurrence step; returns (h_t, f_t), f_t untracked. The convs and
@@ -137,9 +140,8 @@ class ConvMguStack2:
         """Per-step layer-2 states over all frames (list of (n, H, W) tensors)."""
         if not frames:
             raise ValueError("empty frame sequence")
-        h, w = frames[0].data.shape[1:]
-        h1 = self.layer1.initial_state(h, w)
-        h2 = self.layer2.initial_state(h, w)
+        h1 = self.layer1.initial_state(frames[0])
+        h2 = self.layer2.initial_state(frames[0])
         states = []
         for x in frames:
             h1 = self.layer1.step(x, h1)

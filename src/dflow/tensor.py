@@ -154,7 +154,7 @@ class GradTape:
 
     def __len__(self):
         """Primitive records, counting those inside :func:`branches` sub-tapes."""
-        return sum(len(r) if isinstance(r, _Branches) else 1 for r in self._records)
+        return sum(1 for _ in _leaves(self._records))
 
 
 class _Branches:
@@ -167,9 +167,6 @@ class _Branches:
                          for n in (out, *inputs) if n is not None} for tape in tapes]
         if len(set().union(*self.touched)) != sum(map(len, self.touched)):
             raise ValueError("branches must not share a tracked input")
-
-    def __len__(self):
-        return sum(map(len, self.tapes))
 
 
 def _leaves(records):

@@ -114,12 +114,19 @@ class CurveRecord:
 
 @dataclass
 class TrainRun:
+    """A model in training: its settings, Adam moments and learning curve.
+    ``resume`` appends one curve record per step, so the step is the
+    curve's length, records numbered 1 to ``step``."""
+
     model: object
     config: TrainConfig
-    step: int = 0
     adam_m: dict = field(default_factory=dict)
     adam_v: dict = field(default_factory=dict)
     curve: list = field(default_factory=list)
+
+    @property
+    def step(self):
+        return len(self.curve)
 
 
 @dataclass
@@ -215,7 +222,6 @@ def resume(run, data):
                     f"non-finite validation loss {val_loss!r} at step {step} "
                     f"(seed {config.seed}, lr {config.lr})")
         run.curve.append(CurveRecord(step, loss_value, val_loss, val_dice))
-        run.step = step
     return run
 
 
@@ -397,11 +403,17 @@ def load_checkpoint(path):
 
     model = build_dflow(_config_from(DFlowConfig, header, "model_config"), seed=0)
     config = _config_from(TrainConfig, header, "train_config")
-    run = TrainRun(model=model, config=config, step=step)
+    run = TrainRun(model=model, config=config)
     try:
         run.curve = [CurveRecord(*record) for record in curve]
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint curve is invalid: {exc}")
+    numbers = zip_longest((r.step for r in run.curve), range(1, step + 1))
+    for index, (found, wanted) in enumerate(numbers):
+        if found != wanted:
+            raise CheckpointError(
+                f"checkpoint step {step} needs curve steps 1 to {step}, but curve[{index}] "
+                f"is {'missing' if found is None else f'step {found}'}")
     if any(isinstance(e, dict) and str(e.get("name")).startswith("adam.") for e in entries):
         run.adam_m = {name: np.zeros_like(p.data) for name, p in model.parameters().items()}
         run.adam_v = {name: np.zeros_like(m) for name, m in run.adam_m.items()}

@@ -24,13 +24,20 @@ def _openblas_core():
     return "unknown"
 
 
+def _src_lines():
+    """Lines of the program's sources, counted as ``wc -l src/dflow/*.py`` does."""
+    src = Path(__file__).parent.parent / "src" / "dflow"
+    return sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+
+
 def pytest_report_header(config):
-    """Name the numpy and BLAS kernel a run checked the pinned bits on, and the
-    usable CPUs and branch pool: with one CPU there is no pool, the pool tests
-    skip and the memory and thread figures read differently."""
+    """Name the numpy and BLAS kernel a run checked the pinned bits on, the
+    usable CPUs and branch pool (with one CPU there is no pool, the pool tests
+    skip and the memory and thread figures read differently) and the size of
+    ``src/``."""
     pool = "on" if tensor._POOL is not None else "off"
     return (f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}, "
-            f"{tensor._CPUS} usable CPUs, branch pool {pool}")
+            f"{tensor._CPUS} usable CPUs, branch pool {pool}, src/ {_src_lines()} lines")
 
 
 def pytest_terminal_summary(terminalreporter, config):

@@ -87,7 +87,8 @@ def corrupt_copy(path, defect):
     ``float_channels``, ``bool_k``, ``float_batch_size``, ``fractional_seed``,
     ``string_focal_alpha``, ``bool_eval_interval``, ``bool_lr``,
     ``beta2_above_one``, ``sgd_optimizer``, ``string_curve_loss``,
-    ``fractional_curve_step``, ``missing_adam_moment``, ``duplicate_entry``,
+    ``fractional_curve_step``, ``step_ahead_of_curve``,
+    ``reordered_curve_steps``, ``missing_adam_moment``, ``duplicate_entry``,
     ``reordered_entries``, ``extra_header_key``, ``trailing_bytes`` or
     ``future_version``. The last six keep the directory's offsets consistent
     with the payload."""
@@ -145,6 +146,10 @@ def corrupt_copy(path, defect):
         header["curve"][0] = [1, "x", None, None]
     elif defect == "fractional_curve_step":
         header["curve"][0][0] = 1.5
+    elif defect == "step_ahead_of_curve":
+        header["step"] = 7  # over the fixture's 3 curve records
+    elif defect == "reordered_curve_steps":
+        header["curve"] = [[4 - r[0], *r[1:]] for r in header["curve"]]
     elif defect == "negative_offset":
         header["tensors"][0]["offset"] = -8  # param.decoder.b
     elif defect in ("missing_adam_moment", "duplicate_entry", "reordered_entries"):

@@ -435,5 +435,4 @@ def resume_one_tape(run, data):
         if val_windows and (step % config.eval_interval == 0 or step == config.steps):
             val_loss, val_dice = _val_metrics(run.model, val_windows, loss_fn)
         run.curve.append(CurveRecord(step, loss_value, val_loss, val_dice))
-        run.step = step
     return run

@@ -265,7 +265,7 @@ def test_criterion_6_invariant_suites(micro_dataset, tmp_path):
     half_cfg = TrainConfig(**{**asdict(full), "steps": 5})
     half = train(build_dflow(DFlowConfig(channels=2, k=2), seed=4),
                  micro_dataset, half_cfg)
-    half = TrainRun(model=half.model, config=full, step=half.step,
+    half = TrainRun(model=half.model, config=full,
                     adam_m=half.adam_m, adam_v=half.adam_v, curve=half.curve)
     p1, p2 = tmp_path / "a.dflw", tmp_path / "b.dflw"
     save_checkpoint(half, p1)

@@ -274,6 +274,22 @@ class TestTrain:
             "runtime error: non-finite probabilities for source 'seq_000' frame 4")
         assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_reads_only_the_train_and_val_splits(self, tmp_path, monkeypatch, command):
+        root = tmp_path / "ds"
+        assert main(["synth", "--out", str(root), "--seed", "3", "--train", "1", "--val", "1",
+                     "--test", "1", "--frames", "3", "--width", "8", "--height", "8"]) == 0
+        read, real = [], data._read_netpbm
+        monkeypatch.setattr(data, "_read_netpbm",
+                            lambda path, *rest: read.append(path) or real(path, *rest))
+        assert main([command, "--dataset", str(root), "--out", str(tmp_path / "out"),
+                     "--k", "2", "--channels", "2", "--steps", "1"]) == 0
+        manifest = data.load_manifest(root)
+        files = {split: {manifest.root / rel for src in manifest.sources if src.split == split
+                         for rel in (*src.frames, *src.labels)} for split in data.SPLITS}
+        assert files["test"] and not files["test"] & set(read)
+        assert set(read) == files["train"] | files["val"]
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "nothing"),
                    "--out", str(tmp_path / "out")])
@@ -305,7 +321,8 @@ class TestInferEval:
                                         "float_batch_size", "fractional_seed",
                                         "string_focal_alpha", "bool_eval_interval",
                                         "bool_lr", "sgd_optimizer", "string_curve_loss",
-                                        "fractional_curve_step", "missing_adam_moment",
+                                        "fractional_curve_step", "step_ahead_of_curve",
+                                        "reordered_curve_steps", "missing_adam_moment",
                                         "duplicate_entry", "reordered_entries",
                                         "extra_header_key", "trailing_bytes"])
     def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,

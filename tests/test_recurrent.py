@@ -234,6 +234,18 @@ class TestStack2:
         with pytest.raises(ValueError):
             make_stack(0).forward([])
 
+    def test_float32_parameters_and_frames_keep_float32_states(self):
+        rng = np.random.default_rng(10)
+        frames = [rng.uniform(-1, 1, size=(3, 4, 4)) for _ in range(3)]
+        want = make_stack(10).forward_all([Tensor(f) for f in frames])
+        stack = make_stack(10)
+        for t in stack.parameters().values():
+            t.data = t.data.astype(np.float32)
+        got = stack.forward_all([Tensor(f.astype(np.float32)) for f in frames])
+        assert [s.data.dtype for s in got] == [np.float32] * 3
+        for s32, s64 in zip(got, want):
+            npt.assert_allclose(s32.data, s64.data, atol=1e-6)
+
 
 def scalar_step_with_input(cell, x, h):
     def center(t):

@@ -19,6 +19,7 @@ from dflow.network import DFlowConfig, build_dflow
 from dflow.tensor import Tensor, backward, sigmoid
 from dflow.training import (
     CheckpointError,
+    CurveRecord,
     DivergenceError,
     TrainConfig,
     evaluate,
@@ -485,7 +486,7 @@ class TestCheckpoints:
         path = tmp_path / "run.dflw"
         save_checkpoint(run, path)
         before = path.read_bytes()
-        run.step += 1
+        run.curve.append(CurveRecord(3, 0.5, None, None))
 
         class PayloadWriteFails:
             """A file whose writes fail once the 16-byte prefix and header are out."""
@@ -550,6 +551,10 @@ class TestCheckpoints:
         ("sgd_optimizer", "train_config is invalid: unknown optimizer 'sgd'"),
         ("string_curve_loss", 'curve is invalid: train_loss must be a number, got "x"'),
         ("fractional_curve_step", "curve is invalid: step must be an integer, got 1.5"),
+        ("step_ahead_of_curve", r"checkpoint step 7 needs curve steps 1 to 7, "
+                                r"but curve\[3\] is missing"),
+        ("reordered_curve_steps", r"checkpoint step 3 needs curve steps 1 to 3, "
+                                  r"but curve\[0\] is step 3"),
         ("missing_adam_moment", "writes adam.m.decoder.b"),
         ("duplicate_entry", "writes no entry"),
         ("reordered_entries", "is param.decoder.w"),
@@ -619,7 +624,7 @@ class TestCheckpoints:
         run = train(tiny_model(seed=15), tiny_dataset, half)
         path = tmp_path / "half.dflw"
         # re-tag the interrupted run with the full step budget before saving
-        run = TrainRun(model=run.model, config=config, step=run.step,
+        run = TrainRun(model=run.model, config=config,
                        adam_m=run.adam_m, adam_v=run.adam_v, curve=run.curve)
         save_checkpoint(run, path)
         resumed = resume(load_checkpoint(path), tiny_dataset)
