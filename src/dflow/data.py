@@ -250,7 +250,8 @@ def load_manifest(path):
 
 @dataclass
 class FrameSequence:
-    """k+1 ordered colour frames plus the final frame's binary label."""
+    """k+1 ordered colour frames plus the final frame's binary label: any
+    (1, H, W) array of 0 and 1, a bool mask when loaded from a dataset."""
 
     frames: list            # list[ColorImage], oldest first
     label: np.ndarray
@@ -276,8 +277,9 @@ class FrameSequence:
 def window_sequences(manifest, k, split):
     """Yield the ``split`` sources' sliding windows of k+1 frames (stride 1),
     never crossing source boundaries; sources shorter than k+1 are skipped
-    with a warning. Label is the final frame's mask. Frames keep their file's
-    samples, one image per frame shared by every window that holds it. A frame
+    with a warning. Label is the final frame's mask, a bool (1, H, W) array
+    true where the sample is maxval. Frames keep their file's samples, one
+    image per frame shared by every window that holds it. A frame
     or label whose size differs from its source's first frame, or a label with
     a sample other than 0 and maxval, raises ValueError naming the file."""
     if k < 0:
@@ -291,15 +293,16 @@ def window_sequences(manifest, k, split):
                           f"fewer than the k+1={need} a window needs; skipped")
             continue
         frames = [read_frame(manifest.root / rel) for rel in src.frames]
-        labels = [read_pgm(manifest.root / rel) for rel in src.labels]
-        sizes = [(img.height, img.width) for img in frames] + [y.shape[1:] for y in labels]
+        labels = [_read_netpbm(manifest.root / rel, b"P5", 1) for rel in src.labels]
+        sizes = [(img.height, img.width) for img in frames] + [y.shape[1:] for y, _ in labels]
         for rel, (h, w) in zip((*src.frames, *src.labels), sizes):
             if (h, w) != sizes[0]:
                 raise ValueError(f"{manifest.root / rel}: {w}x{h} differs from the "
                                  f"{sizes[0][1]}x{sizes[0][0]} of {src.id}'s first frame")
-        for rel, y in zip(src.labels, labels):
-            if not ((y == 0.0) | (y == 1.0)).all():
+        for rel, (y, maxval) in zip(src.labels, labels):
+            if not ((y == 0) | (y == maxval)).all():
                 raise ValueError(f"{manifest.root / rel}: label samples must be 0 or maxval")
+        labels = [y == maxval for y, maxval in labels]
         for start in range(len(frames) - need + 1):
             yield FrameSequence(
                 frames=frames[start:start + need],

@@ -45,15 +45,16 @@ def _focal_record(p, y, alpha_pos, alpha_neg, gamma):
     """One tape record for the mean focal loss -alpha_t (1 - p_t)^gamma ln p_t,
     p clamped to [CLAMP_EPS, 1-CLAMP_EPS]: p_t is p where y = 1 and 1-p
     otherwise, alpha_t is alpha_pos on positives and alpha_neg on negatives.
-    The vjp zeroes the gradient where the clamp is active. An empty prediction
-    has no mean loss."""
+    The vjp zeroes the gradient where the clamp is active. The label, any
+    binary array, is built in p's dtype, so the loss and gradient keep it. An
+    empty prediction has no mean loss."""
     pd = p.data
     if pd.size == 0:
         raise ValueError(f"empty prediction of shape {pd.shape}")
     yd = np.asarray(y, dtype=np.float64)
     if yd.shape != pd.shape:
         raise ValueError(f"label shape {yd.shape} does not match prediction {pd.shape}")
-    yd, lo, hi = validate_label_mask(yd), CLAMP_EPS, 1.0 - CLAMP_EPS
+    yd, lo, hi = validate_label_mask(yd).astype(pd.dtype, copy=False), CLAMP_EPS, 1.0 - CLAMP_EPS
     pc, interior = np.clip(pd, lo, hi), (pd > lo) & (pd < hi)
     omy, omp = 1.0 - yd, 1.0 - pc
     alpha_t = alpha_pos * yd + alpha_neg * omy

@@ -366,10 +366,12 @@ class TestWindowing:
 
     def test_non_binary_label_is_named(self, dataset):
         path = dataset.root / dataset.sources[0].labels[0]
-        write_pgm16(path, np.full((8, 8), 0.5))
-        with pytest.raises(ValueError) as info:
-            list(window_sequences(dataset, k=2, split="train"))
-        assert str(info.value) == f"{path}: label samples must be 0 or maxval"
+        # 16-bit labels at half scale, and of samples 0 and 255 (binary at maxval 255)
+        for values in (np.full((8, 8), 0.5), np.arange(64).reshape(8, 8) % 2 * 255 / 65535):
+            write_pgm16(path, values)
+            with pytest.raises(ValueError) as info:
+                list(window_sequences(dataset, k=2, split="train"))
+            assert str(info.value) == f"{path}: label samples must be 0 or maxval"
 
     def test_split_loader_groups_by_split(self, tmp_path):
         params = SynthSceneParams(width=8, height=8, seed=9)
@@ -589,6 +591,21 @@ class TestLoadedFrames:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.flags.c_contiguous
 
+    @pytest.mark.parametrize("maxval", [1, 255, 65535])
+    def test_label_is_a_bool_mask_where_the_sample_is_maxval(self, tmp_path, maxval):
+        h, w = 3, 5
+        samples = np.random.default_rng(maxval).integers(0, 2, size=h * w) * maxval
+        write_ppm(tmp_path / "f.ppm", np.zeros((3, h, w)))
+        label = tmp_path / "l.pgm"
+        label.write_bytes(f"P5\n{w} {h}\n{maxval}\n".encode()
+                          + samples.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+        rec = SourceRecord(id="s0", frames=["f.ppm"], labels=["l.pgm"], split="train")
+        save_manifest(DatasetManifest(root=tmp_path, sources=[rec]))
+        (window,) = load_split_windows(load_manifest(tmp_path), k=0)["train"]
+        assert (window.label.dtype, window.label.shape) == (np.bool_, (1, h, w))
+        npt.assert_array_equal(window.label, read_pgm(label) == 1)
+        assert 0 < window.label.sum() < h * w
+
     def test_frames_hold_about_one_byte_per_8_bit_sample(self, tmp_path, traced_memory):
         params = SynthSceneParams(width=32, height=32, seed=16)
         synth_generate(params, 4, 6, tmp_path, splits=["train", "train", "val", "test"])
@@ -597,6 +614,6 @@ class TestLoadedFrames:
         retained, _ = traced_memory(lambda: windows.update(load_split_windows(manifest, k=2)))
         n_windows = sum(len(seqs) for seqs in windows.values())
         samples = 4 * 6 * 3 * 32 * 32          # every frame of every source, 1 byte each
-        labels = n_windows * 32 * 32 * 8       # each window's float64 label
+        labels = n_windows * 32 * 32           # each window's bool label
         # float64 frames would retain 8 bytes per sample (about 740 KB here)
         assert retained <= 1.25 * samples + labels + 2048 * n_windows, retained

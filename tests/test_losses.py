@@ -141,6 +141,25 @@ def test_empty_prediction_is_rejected(loss_fn):
         loss_fn(Tensor(np.zeros((1, 0, 0))), np.zeros((1, 0, 0)))
 
 
+@pytest.mark.parametrize("loss_fn", [bce_loss, focal_loss], ids=["bce", "focal"])
+@pytest.mark.parametrize("label_dtype", [bool, np.float64])
+def test_loss_and_gradient_keep_the_prediction_dtype(loss_fn, label_dtype):
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.05, 0.95, size=(1, 6, 6))
+    y = rand_label(rng).astype(label_dtype)
+    results = []
+    for dtype in (np.float32, np.float64):
+        pt = Tensor(p.astype(dtype), requires_grad=True)
+        with GradTape() as tape:
+            loss = loss_fn(pt, y)
+        backward(tape, loss, [pt])
+        assert (loss.data.dtype, pt.grad.dtype) == (dtype, dtype)
+        results.append((loss.item(), pt.grad))
+    (loss32, grad32), (loss64, grad64) = results
+    npt.assert_allclose(loss32, loss64, rtol=1e-5)
+    npt.assert_allclose(grad32, grad64, rtol=1e-4, atol=1e-6)
+
+
 class TestDice:
     def test_identical_nonempty_masks(self):
         m = np.array([[[1.0, 0.0], [1.0, 1.0]]])
