@@ -172,7 +172,9 @@ class DatasetManifest:
 def save_manifest(manifest):
     path = Path(manifest.root) / "manifest.json"
     doc = {"version": 1, "sources": [asdict(s) for s in manifest.sources]}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 

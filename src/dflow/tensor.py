@@ -72,15 +72,16 @@ _MAX_RANK = 5
 class Tensor:
     """A dense real array of rank 0..5 with an optional gradient slot.
 
-    ``requires_grad`` marks the tensor as a trainable parameter: after a
+    ``requires_grad=True`` makes the tensor a trainable parameter: after a
     :func:`backward` that names it, it carries a gradient of identical shape
-    in ``.grad``. Ordinary data (frames, labels) stays untracked and never
-    receives a gradient. Non-float input is converted to float64; float32
-    arrays are kept as-is (an inference-only option), and every op
-    preserves its input dtype.
+    in ``.grad``. The read-only ``requires_grad`` property reports it from the
+    tape identity, so it cannot disagree with what ``backward`` differentiates.
+    Ordinary data (frames, labels) stays untracked and never receives a
+    gradient. Non-float input is converted to float64; float32 arrays are kept
+    as-is (an inference-only option), and every op preserves its input dtype.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -89,10 +90,13 @@ class Tensor:
         if arr.ndim > _MAX_RANK:
             raise ValueError(f"rank {arr.ndim} exceeds the supported maximum of {_MAX_RANK}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad = None
         # tape identity: None untracked, itself for a parameter, else an _Node
-        self._node = self if self.requires_grad else None
+        self._node = self if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._node is self
 
     @property
     def shape(self):

@@ -115,6 +115,7 @@ class CurveRecord:
 @dataclass
 class TrainRun:
     """A model in training: its settings, Adam moments and learning curve.
+    Every model parameter not given moments starts with zero moments.
     ``resume`` appends one curve record per step, so the step is the
     curve's length, records numbered 1 to ``step``."""
 
@@ -124,6 +125,11 @@ class TrainRun:
     adam_v: dict = field(default_factory=dict)
     curve: list = field(default_factory=list)
 
+    def __post_init__(self):
+        for name, p in self.model.parameters().items():
+            self.adam_m.setdefault(name, np.zeros_like(p.data))
+            self.adam_v.setdefault(name, np.zeros_like(p.data))
+
     @property
     def step(self):
         return len(self.curve)
@@ -131,10 +137,13 @@ class TrainRun:
 
 @dataclass
 class EvalReport:
-    mean_dice: float
-    mean_silhouette: float
-    n_windows: int
+    """Per-window scores; the summaries are read from them."""
+
     rows: list  # (source_id, final_frame_index, dice, silhouette)
+
+    mean_dice = property(lambda self: float(np.mean([r[2] for r in self.rows])))
+    mean_silhouette = property(lambda self: float(np.mean([r[3] for r in self.rows])))
+    n_windows = property(lambda self: len(self.rows))
 
 
 def _loss_fn(config):
@@ -177,9 +186,6 @@ def resume(run, data):
     val_windows = data.get("val", [])
     loss_fn = _loss_fn(config)
     params = run.model.parameters()
-    for name, p in params.items():
-        run.adam_m.setdefault(name, np.zeros_like(p.data))
-        run.adam_v.setdefault(name, np.zeros_like(p.data))
 
     while run.step < config.steps:
         step = run.step + 1
@@ -253,12 +259,7 @@ def evaluate(model, data, split):
         d = dice_coefficient(binary, seq.label)
         s = silhouette_score(binary, seq.frames[-1].pixels, seed=0)
         rows.append((seq.source_id, seq.frame_indices[-1] if seq.frame_indices else -1, d, s))
-    return EvalReport(
-        mean_dice=float(np.mean([r[2] for r in rows])),
-        mean_silhouette=float(np.mean([r[3] for r in rows])),
-        n_windows=len(rows),
-        rows=rows,
-    )
+    return EvalReport(rows)
 
 
 # --- gradient checking ---------------------------------------------------------
@@ -266,9 +267,14 @@ def evaluate(model, data, split):
 
 @dataclass
 class GradCheckReport:
+    """Each tensor's worst relative error; it passes if all are below ``tolerance``."""
+
     per_tensor: dict       # name -> max relative error
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self):
+        return all(err < self.tolerance for err in self.per_tensor.values())
 
     def __str__(self):
         lines = [f"{'tensor':<24} max_rel_err"]
@@ -321,8 +327,7 @@ def gradcheck(model, sample, loss="bce", tolerance=1e-4):
             fd = (up - down) / (2.0 * h)
             worst = max(worst, _relative_error(grad.reshape(-1)[idx], fd))
         report[name] = worst
-    passed = all(err < tolerance for err in report.values())
-    return GradCheckReport(per_tensor=report, tolerance=tolerance, passed=passed)
+    return GradCheckReport(per_tensor=report, tolerance=tolerance)
 
 
 # --- persistence -----------------------------------------------------------------
@@ -414,10 +419,6 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"checkpoint step {step} needs curve steps 1 to {step}, but curve[{index}] "
                 f"is {'missing' if found is None else f'step {found}'}")
-    if any(isinstance(e, dict) and str(e.get("name")).startswith("adam.") for e in entries):
-        run.adam_m = {name: np.zeros_like(p.data) for name, p in model.parameters().items()}
-        run.adam_v = {name: np.zeros_like(m) for name, m in run.adam_m.items()}
-
     expected, tensors = _header(run)
     if stored != expected:
         raise _header_mismatch(entries, json.loads(expected)["tensors"])

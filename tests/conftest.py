@@ -30,14 +30,29 @@ def _src_lines():
     return sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
 
 
+def _desk_window_records():
+    """Tape records of one desk training window: the small preset's rgb+yuv
+    model at k=4 and its BCE loss. The count does not depend on the frame
+    size, so 4x4 frames stand in for 32x32 ones."""
+    from dflow import color, losses, network
+
+    model = network.build_dflow(network.DFlowConfig(
+        channels=network.PRESET_CHANNELS["small"]), seed=0)
+    frames = [color.ColorImage(np.full((3, 4, 4), 0.5)) for _ in range(model.config.k + 1)]
+    with tensor.GradTape() as tape:
+        losses.bce_loss(model.forward_window(frames), np.zeros((1, 4, 4)))
+    return len(tape)
+
+
 def pytest_report_header(config):
     """Name the numpy and BLAS kernel a run checked the pinned bits on, the
     usable CPUs and branch pool (with one CPU there is no pool, the pool tests
-    skip and the memory and thread figures read differently) and the size of
-    ``src/``."""
+    skip and the memory and thread figures read differently), the size of
+    ``src/`` and the tape records of one desk training window."""
     pool = "on" if tensor._POOL is not None else "off"
     return (f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}, "
-            f"{tensor._CPUS} usable CPUs, branch pool {pool}, src/ {_src_lines()} lines")
+            f"{tensor._CPUS} usable CPUs, branch pool {pool}, src/ {_src_lines()} lines, "
+            f"{_desk_window_records()} tape records per desk window")
 
 
 def pytest_terminal_summary(terminalreporter, config):

@@ -88,10 +88,10 @@ def corrupt_copy(path, defect):
     ``string_focal_alpha``, ``bool_eval_interval``, ``bool_lr``,
     ``beta2_above_one``, ``sgd_optimizer``, ``string_curve_loss``,
     ``fractional_curve_step``, ``step_ahead_of_curve``,
-    ``reordered_curve_steps``, ``missing_adam_moment``, ``duplicate_entry``,
-    ``reordered_entries``, ``extra_header_key``, ``trailing_bytes`` or
-    ``future_version``. The last six keep the directory's offsets consistent
-    with the payload."""
+    ``reordered_curve_steps``, ``missing_adam_moment``, ``no_adam_moments``,
+    ``duplicate_entry``, ``reordered_entries``, ``extra_header_key``,
+    ``trailing_bytes`` or ``future_version``. The last seven keep the
+    directory's offsets consistent with the payload."""
     blob = CHECKPOINT.read_bytes()
     if defect == "short_file":
         path.write_bytes(blob[:10])
@@ -152,11 +152,14 @@ def corrupt_copy(path, defect):
         header["curve"] = [[4 - r[0], *r[1:]] for r in header["curve"]]
     elif defect == "negative_offset":
         header["tensors"][0]["offset"] = -8  # param.decoder.b
-    elif defect in ("missing_adam_moment", "duplicate_entry", "reordered_entries"):
+    elif defect in ("missing_adam_moment", "no_adam_moments", "duplicate_entry",
+                    "reordered_entries"):
         chunks = [(e, payload[e["offset"]:e["offset"] + 8 * int(np.prod(e["shape"]))])
                   for e in header["tensors"]]
         if defect == "missing_adam_moment":
             chunks = [(e, b) for e, b in chunks if e["name"] != "adam.m.decoder.b"]
+        elif defect == "no_adam_moments":
+            chunks = [(e, b) for e, b in chunks if e["name"].startswith("param.")]
         elif defect == "duplicate_entry":
             chunks.append((chunks[0][0], struct.pack("<d", 123.0)))  # param.decoder.b
         else:

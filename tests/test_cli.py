@@ -323,8 +323,9 @@ class TestInferEval:
                                         "bool_lr", "sgd_optimizer", "string_curve_loss",
                                         "fractional_curve_step", "step_ahead_of_curve",
                                         "reordered_curve_steps", "missing_adam_moment",
-                                        "duplicate_entry", "reordered_entries",
-                                        "extra_header_key", "trailing_bytes"])
+                                        "no_adam_moments", "duplicate_entry",
+                                        "reordered_entries", "extra_header_key",
+                                        "trailing_bytes"])
     def test_bad_checkpoint_is_a_one_line_runtime_error(self, dataset_dir, tmp_path,
                                                         capsys, defect):
         bad = v1_checkpoint.corrupt_copy(tmp_path / "bad.dflw", defect)

@@ -26,6 +26,7 @@ from dflow.data import (
     write_pgm16,
     write_ppm,
 )
+from dflow.data import _generate_sequence, _segment_mask
 from dflow.network import DFlowConfig, build_dflow
 from dflow.training import TrainConfig, evaluate, train
 
@@ -511,6 +512,22 @@ class TestSynthGenerate:
             label = read_pgm(tmp_path / label_rel)[0]
             dominant = (px[1] > px[0] + GREEN_MARGIN) & (px[1] > px[2] + GREEN_MARGIN)
             assert (dominant & (label == 0.0)).sum() == 4  # one visible 2x2 patch
+
+    def test_a_distractor_with_no_free_patch_is_left_out(self):
+        # in a 3x3 frame every 2x2 patch holds the centre pixel; with the
+        # target on it no patch is free, so no distractor is drawn, visible or not
+        scene = dict(width=3, height=3, seed=1, flicker_rate=1.0, noise_level=0.0)
+        frames, masks, _ = _generate_sequence(SynthSceneParams(**scene, distractor_count=1),
+                                              0, 4)
+        assert all(mask[0, 1, 1] for mask in masks)
+        plain, _, _ = _generate_sequence(SynthSceneParams(**scene, distractor_count=0), 0, 4)
+        for frame, want in zip(frames, plain):
+            npt.assert_array_equal(frame, want)
+
+    def test_a_zero_length_line_marks_no_pixel(self):
+        point = np.array([2.5, 1.5])
+        assert not _segment_mask(point, point.copy(), 4, 6).any()
+        assert _segment_mask(point, point + [0.0, 1e-9], 4, 6)[1, 2]
 
     @pytest.mark.parametrize("name", ["brightness_drift", "flicker_rate", "noise_level"])
     def test_rates_may_be_one_but_not_above(self, name):

@@ -72,6 +72,15 @@ class TestTensorBasics:
     def test_integer_input_becomes_float64(self):
         assert Tensor([1, 2, 3]).data.dtype == np.float64
 
+    def test_requires_grad_is_read_from_the_tape_identity(self):
+        w, x = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))
+        assert w.requires_grad and not x.requires_grad
+        with GradTape():
+            assert not add(w, x).requires_grad  # an op output is never a parameter
+        for t in (w, x):
+            with pytest.raises(AttributeError):
+                t.requires_grad = not t.requires_grad
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):

@@ -28,6 +28,8 @@ from dflow.training import (
     resume,
     save_checkpoint,
     train,
+    EvalReport,
+    GradCheckReport,
     TrainRun,
     write_curve_csv,
 )
@@ -164,6 +166,21 @@ def fixture_model(use_block, seed=5):
 def curve_array(run):
     return np.array([[r.step, r.train_loss, r.val_loss, r.val_dice] for r in run.curve],
                     dtype=np.float64)  # None reads as NaN
+
+
+class TestTrainRun:
+    def test_each_parameter_not_given_starts_at_zero_moments(self):
+        model = tiny_model()
+        given = np.ones_like(model.decoder_b.data)
+        run = TrainRun(model=model, config=tiny_config(), adam_m={"decoder.b": given})
+        assert run.adam_m["decoder.b"] is given
+        params = model.parameters()
+        for moments in (run.adam_m, run.adam_v):
+            assert moments.keys() == params.keys()
+            for name, arr in moments.items():
+                assert arr.dtype == params[name].data.dtype
+                if arr is not given:
+                    npt.assert_array_equal(arr, np.zeros_like(params[name].data))
 
 
 class TestOneWindowAtATime:
@@ -376,6 +393,24 @@ class TestGradcheck:
             gradcheck(model, self.make_sample(rng))
 
 
+class TestReports:
+    def test_eval_summaries_are_read_from_the_rows(self):
+        report = EvalReport([("a", 2, 0.5, 0.25), ("a", 3, 1.0, -0.5)])
+        assert (report.mean_dice, report.mean_silhouette, report.n_windows) == (0.75, -0.125, 2)
+        report.rows.append(("b", 2, 0.0, 0.25))
+        assert (report.mean_dice, report.mean_silhouette, report.n_windows) == (0.5, 0.0, 3)
+        with pytest.raises(AttributeError):
+            report.n_windows = 5
+
+    def test_gradcheck_passes_only_below_the_tolerance(self):
+        report = GradCheckReport(per_tensor={"w": 1e-5, "b": 9e-5}, tolerance=1e-4)
+        assert report.passed
+        report.per_tensor["b"] = 1e-4
+        assert not report.passed
+        with pytest.raises(AttributeError):
+            report.passed = True
+
+
 class TestEvaluate:
     def test_zero_decoder_on_nonempty_labels_scores_dice_zero(self, tiny_dataset):
         model = tiny_model(seed=8)
@@ -556,6 +591,8 @@ class TestCheckpoints:
         ("reordered_curve_steps", r"checkpoint step 3 needs curve steps 1 to 3, "
                                   r"but curve\[0\] is step 3"),
         ("missing_adam_moment", "writes adam.m.decoder.b"),
+        ("no_adam_moments", r"tensors\[26\] is no entry in the file, "
+                            r"but save_checkpoint writes adam.m.decoder.b"),
         ("duplicate_entry", "writes no entry"),
         ("reordered_entries", "is param.decoder.w"),
         ("extra_header_key", "outside the tensor directory"),
